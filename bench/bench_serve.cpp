@@ -25,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "WorkloadGen.h"
+#include "driver/BatchAnalyzer.h"
 #include "server/Client.h"
 #include "server/Fleet.h"
 #include "server/Server.h"
@@ -48,9 +49,13 @@ using namespace biv;
 
 namespace {
 
-// The one-shot CLI's default bits: RunSCCP | Materialize | Classify |
-// NestedTuples.
-constexpr uint64_t DefaultBits = 1 | 2 | 4 | 16;
+// The one-shot CLI's default options, as `bivc --connect` sends them: the
+// batch defaults with exit values materialized.
+const uint64_t DefaultBits = [] {
+  driver::AnalysisOptions AO;
+  AO.MaterializeExitValues = true;
+  return AO.toBits();
+}();
 
 struct PassResult {
   double WallMs = 0.0;

@@ -86,21 +86,6 @@ std::string CacheEntry::serialize() const {
   std::string Out;
   putU64(Out, ReportText.size());
   Out += ReportText;
-  const uint64_t StatFields[] = {
-      Stats.Regions,         Stats.LinearFamilies,  Stats.PolynomialFamilies,
-      Stats.GeometricFamilies, Stats.PeriodicFamilies, Stats.WrapArounds,
-      Stats.MonotonicRegions,  Stats.UnknownRegions,
-      Stats.ExitValuesMaterialized};
-  for (uint64_t V : StatFields)
-    putU64(Out, V);
-  const uint64_t KindFields[] = {Kinds.Linear,        Kinds.Polynomial,
-                                 Kinds.Geometric,     Kinds.CFinite,
-                                 Kinds.WrapAround,    Kinds.Periodic,
-                                 Kinds.Monotonic,     Kinds.PhasePeriodic,
-                                 Kinds.Invariant,     Kinds.Unknown,
-                                 Kinds.Partial};
-  for (uint64_t V : KindFields)
-    putU64(Out, V);
   putU64(Out, Instructions);
   putU64(Out, Loops);
   putU64(Out, Counters.size());
@@ -118,34 +103,6 @@ bool CacheEntry::deserialize(const std::string &Bytes) {
   if (!getU64(Bytes, Pos, Len) || !getBytes(Bytes, Pos, size_t(Len),
                                             ReportText))
     return false;
-  uint64_t StatFields[9];
-  for (uint64_t &V : StatFields)
-    if (!getU64(Bytes, Pos, V))
-      return false;
-  Stats.Regions = unsigned(StatFields[0]);
-  Stats.LinearFamilies = unsigned(StatFields[1]);
-  Stats.PolynomialFamilies = unsigned(StatFields[2]);
-  Stats.GeometricFamilies = unsigned(StatFields[3]);
-  Stats.PeriodicFamilies = unsigned(StatFields[4]);
-  Stats.WrapArounds = unsigned(StatFields[5]);
-  Stats.MonotonicRegions = unsigned(StatFields[6]);
-  Stats.UnknownRegions = unsigned(StatFields[7]);
-  Stats.ExitValuesMaterialized = unsigned(StatFields[8]);
-  uint64_t KindFields[11];
-  for (uint64_t &V : KindFields)
-    if (!getU64(Bytes, Pos, V))
-      return false;
-  Kinds.Linear = unsigned(KindFields[0]);
-  Kinds.Polynomial = unsigned(KindFields[1]);
-  Kinds.Geometric = unsigned(KindFields[2]);
-  Kinds.CFinite = unsigned(KindFields[3]);
-  Kinds.WrapAround = unsigned(KindFields[4]);
-  Kinds.Periodic = unsigned(KindFields[5]);
-  Kinds.Monotonic = unsigned(KindFields[6]);
-  Kinds.PhasePeriodic = unsigned(KindFields[7]);
-  Kinds.Invariant = unsigned(KindFields[8]);
-  Kinds.Unknown = unsigned(KindFields[9]);
-  Kinds.Partial = unsigned(KindFields[10]);
   if (!getU64(Bytes, Pos, Instructions) || !getU64(Bytes, Pos, Loops))
     return false;
   uint64_t NumCounters = 0;

@@ -18,20 +18,20 @@
 ///  - an analysis-version salt (`AnalysisVersionSalt`, bumped whenever
 ///    ivclass / dependence / transform code changes what the analysis
 ///    *means* -- a stale-salt file is discarded wholesale on load), and
-///  - an options fingerprint (the pipeline switches that change report
-///    bytes: SCCP, exit-value materialization, classification on/off,
-///    all-values, nested tuples, multi-branch summarization).
+///  - an options fingerprint (driver::AnalysisOptions::toBits(): SCCP,
+///    exit-value materialization, classification on/off, all-values,
+///    nested tuples, multi-branch summarization).
 ///
-/// Values are the full per-function `UnitResult` payload: the rendered
-/// report, the InductionAnalysis stats, per-kind counts, instruction/loop
-/// totals, and the unit's *analysis-phase counter deltas* (captured after
-/// the frontend, so a warm run -- which still parses in order to hash --
-/// can replay them without double counting).  Wolfe's algorithm is
-/// deterministic and non-iterative per function, which is what makes a hit
-/// byte-identical to a recomputation (the fuzz oracle's cache mode checks
-/// exactly that).
+/// Values are the per-function payload driver::analyzeUnit builds: the
+/// rendered report, instruction/loop totals, and the unit's *analysis-phase
+/// counter deltas* (captured after the frontend, so a warm run -- which
+/// still parses in order to hash -- can replay them without double
+/// counting).  The counters carry the per-kind and per-region tallies.
+/// Wolfe's algorithm is deterministic and non-iterative per function, which
+/// is what makes a hit byte-identical to a recomputation (the fuzz oracle's
+/// cache mode checks exactly that).
 ///
-/// File format (v2): a single append-only log with an index footer, so a
+/// File format (v3): a single append-only log with an index footer, so a
 /// warm run does one open + one mmap, not N file opens.
 ///
 ///   [magic u64][format u64][salt u64]                   header
@@ -91,10 +91,9 @@
 #ifndef BEYONDIV_CACHE_ANALYSISCACHE_H
 #define BEYONDIV_CACHE_ANALYSISCACHE_H
 
-#include "ivclass/InductionAnalysis.h"
-#include "ivclass/Report.h"
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -111,8 +110,10 @@ namespace cache {
 inline constexpr uint64_t AnalysisVersionSalt = 3;
 
 /// On-disk format revision (layout, not analysis semantics).  v2 added the
-/// generation counter to the tail footer (fleet-shared caches).
-inline constexpr uint64_t CacheFormatVersion = 2;
+/// generation counter to the tail footer (fleet-shared caches); v3 dropped
+/// the per-kind and InductionAnalysis::Stats tallies from the entry payload,
+/// which the counter deltas already carry.
+inline constexpr uint64_t CacheFormatVersion = 3;
 
 /// 64-bit FNV-1a over \p Data, continuing from \p Seed (the offset basis by
 /// default).  Never returns 0 -- 0 marks an empty index slot.
@@ -120,15 +121,13 @@ uint64_t fnv1a(const std::string &Data,
                uint64_t Seed = 0xcbf29ce484222325ull);
 
 /// The cache key for one unit: canonical IR print x salt x the pipeline
-/// options that change result bytes (packed by the caller into \p OptsBits).
+/// options that change result bytes (driver::AnalysisOptions::toBits()).
 uint64_t unitDigest(const std::string &CanonicalIR, uint64_t OptsBits);
 
 /// The cached payload for one function (everything a batch UnitResult
 /// carries besides its name and live stats frame).
 struct CacheEntry {
   std::string ReportText;
-  ivclass::InductionAnalysis::Stats Stats;
-  ivclass::KindCounts Kinds;
   uint64_t Instructions = 0;
   uint64_t Loops = 0;
   /// The unit's analysis-phase counter deltas by name (frontend counters

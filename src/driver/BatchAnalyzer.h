@@ -18,6 +18,11 @@
 /// the merged report is byte-identical no matter how many workers ran or how
 /// the scheduler interleaved them.
 ///
+/// analyzeUnit() is the one per-unit path: the batch driver and the
+/// analysis daemon both run it, and one-shot `bivc` takes its options from
+/// the same AnalysisOptions, which is what keeps report bytes and cache
+/// entries identical across the three.
+///
 /// By default batch mode keeps InductionAnalysis side-effect-free on the IR
 /// (MaterializeExitValues off) and skips re-verification, matching the
 /// throughput configuration the benchmarks measure.
@@ -44,23 +49,41 @@ struct SourceInput {
   std::string Text;
 };
 
-/// Batch switches.
-struct BatchOptions {
-  /// Worker threads; 1 analyzes serially on the calling thread, 0 picks the
-  /// hardware concurrency.
-  unsigned Jobs = 1;
+/// The switches that change what a unit's analysis produces.  Batch,
+/// daemon and one-shot runs all hold them in this one type, and
+/// toBits()/fromBits() are the only code that knows their bit positions:
+/// the bits key the analysis cache and travel in daemon requests.
+struct AnalysisOptions {
+  /// Wegman-Zadeck constant propagation before classification.
   bool RunSCCP = true;
-  /// Post-SCCP SSA re-verification (off: the throughput configuration).
-  bool VerifyEach = false;
   /// Exit-value materialization mutates the IR; keeping it off makes run()
   /// read-only, which batch mode requires only per-unit but benches rely on.
+  /// One-shot runs (and so `bivc --connect`) turn it on.
   bool MaterializeExitValues = false;
   /// Render a classification report per unit (off for pure throughput runs).
   bool Classify = true;
-  /// Multi-branch loop summarization (`bivc --batch --summarize`): sample,
-  /// conjecture, and prove per-phase closed forms for punted loops.
+  /// Multi-branch loop summarization (`--summarize`): sample, conjecture,
+  /// and prove per-phase closed forms for punted loops.
   bool Summarize = false;
   ivclass::ReportOptions Report;
+
+  /// RunSCCP | MaterializeExitValues << 1 | Classify << 2 |
+  /// Report.AllValues << 3 | Report.NestedTuples << 4 | Summarize << 5.
+  uint64_t toBits() const;
+  /// Decodes \p Bits into \p Out.  Returns false, with \p Error naming the
+  /// offending bits, when a bit outside the six defined ones is set.
+  static bool fromBits(uint64_t Bits, AnalysisOptions &Out,
+                       std::string &Error);
+  /// The pipeline switches these options select.  Post-SCCP SSA
+  /// re-verification stays off: it cannot change what a unit produces.
+  ivclass::PipelineOptions pipeline() const;
+};
+
+/// Batch switches: the analysis options plus scheduling and caching.
+struct BatchOptions : AnalysisOptions {
+  /// Worker threads; 1 analyzes serially on the calling thread, 0 picks the
+  /// hardware concurrency.
+  unsigned Jobs = 1;
   /// Content-addressed result cache (`bivc --batch --cache FILE`), or null
   /// to analyze every unit.  Workers probe it concurrently after parsing
   /// (lookup is const); misses are inserted by the driver thread in input
@@ -79,22 +102,25 @@ struct UnitResult {
   bool OK = false;
   std::vector<std::string> Errors;
   std::string ReportText;
-  ivclass::InductionAnalysis::Stats Stats;
-  ivclass::KindCounts Kinds;
   size_t Instructions = 0;
   size_t Loops = 0;
-  /// Observability delta for this unit alone: the worker thread's stats
-  /// frame captured before and after the unit's pipeline, subtracted.
+  /// Observability delta for this unit alone, filled by analyzeBatch: the
+  /// worker thread's stats frame captured before and after the unit,
+  /// subtracted.  Its counters are the unit's only tally of kinds and
+  /// regions; the batch footer sums them.
   stats::Frame StatsDelta;
+  /// On a cache miss, the entry analyzeUnit built and its digest (0 when
+  /// there is nothing to insert).  analyzeUnit never inserts: each caller
+  /// does, under its own policy.
+  uint64_t MissDigest = 0;
+  cache::CacheEntry MissEntry;
 };
 
 /// Everything a batch run produced, in input order.
 struct BatchResult {
   std::vector<UnitResult> Units;
-  ivclass::InductionAnalysis::Stats Stats; ///< aggregate over OK units
-  ivclass::KindCounts Kinds;               ///< aggregate over OK units
-  size_t TotalInstructions = 0;
-  size_t TotalLoops = 0;
+  size_t TotalInstructions = 0; ///< over OK units
+  size_t TotalLoops = 0;        ///< over OK units
   unsigned Failed = 0;
   /// Program-wide stats: per-unit deltas merged in input order.  Counter
   /// values (and span counts) are independent of Jobs; only span durations
@@ -102,7 +128,8 @@ struct BatchResult {
   stats::Frame MergedStats;
 
   /// Merged human-readable report: per-unit sections in input order plus a
-  /// summary footer.  Deterministic across thread counts.
+  /// summary footer, whose kind and region counts are the OK units' counter
+  /// deltas.  Deterministic across thread counts.
   std::string renderText() const;
 };
 
@@ -110,6 +137,15 @@ struct BatchResult {
 /// one SourceInput per function ("name:funcname").  A file without a `func`
 /// keyword comes back unchanged (the parser will diagnose it).
 std::vector<SourceInput> splitFunctions(const SourceInput &File);
+
+/// Analyzes one unit's source text: parse; with \p Cache, digest the
+/// canonical IR under Opts.toBits() and probe, and on a miss probe once more
+/// after adopting what other processes saved to the cache file; then
+/// analyze, count header-phi kinds, and render the report.  A hit replays
+/// the entry's counters instead.  Parse errors come back in Errors;
+/// exceptions propagate to the caller.
+UnitResult analyzeUnit(const std::string &Source, const AnalysisOptions &Opts,
+                       cache::AnalysisCache *Cache);
 
 /// Analyzes every unit of \p Sources (files are split into functions first)
 /// with \p Opts.Jobs workers.

@@ -1,14 +1,11 @@
 //===- fuzz/Oracle.cpp - Differential interpreter oracle ----------------------===//
 
 #include "fuzz/Oracle.h"
-#include "analysis/DominatorTree.h"
 #include "support/Stats.h"
-#include "analysis/LoopInfo.h"
 #include "baseline/ClassicalIV.h"
 #include "frontend/Lowering.h"
 #include "interp/Interpreter.h"
-#include "ivclass/InductionAnalysis.h"
-#include "ssa/SCCP.h"
+#include "ivclass/Pipeline.h"
 #include "ssa/SSABuilder.h"
 #include "ssa/SSAVerifier.h"
 #include "support/Lcg.h"
@@ -176,27 +173,24 @@ OracleResult OracleRun::run() {
   }
 
   // Analyzed build: the full pipeline, with every IR mutation on (SCCP
-  // folding plus exit-value materialization) -- exactly what the paper's
-  // client transformations would consume.
-  std::unique_ptr<ir::Function> F = frontend::parseAndLower(Source, Errors);
-  if (!F) {
+  // folding plus exit-value materialization) and every stage verified --
+  // exactly what the paper's client transformations would consume.  No
+  // kinds are counted here: the campaign's punt rate comes from the batch
+  // passes alone.
+  ivclass::PipelineOptions PO;
+  PO.Analysis.Summarize = Opts.Summarize;
+  std::optional<ivclass::AnalyzedProgram> P =
+      ivclass::analyzeSource(Source, Errors, PO);
+  if (!P) {
     Result.ParseOK = false;
     Result.FrontendErrors = std::move(Errors);
     return std::move(Result);
   }
-  ssa::buildSSA(*F);
-  ssa::verifySSAOrDie(*F);
-  ssa::runSCCP(*F, /*SimplifyCFG=*/false);
-  ssa::verifySSAOrDie(*F);
-  analysis::DominatorTree DT(*F);
-  analysis::LoopInfo LI(*F, DT);
-  ivclass::InductionAnalysis::Options AO;
-  AO.Summarize = Opts.Summarize;
-  ivclass::InductionAnalysis IA(*F, DT, LI, AO);
-  IA.run();
-  ssa::verifySSAOrDie(*F);
+  ir::Function &F = *P->F;
+  ivclass::InductionAnalysis &IA = *P->IA;
+  ssa::verifySSAOrDie(F);
 
-  interp::ExecutionTrace Post = interp::runWithArrays(*F, Args, Arrays, EO);
+  interp::ExecutionTrace Post = interp::runWithArrays(F, Args, Arrays, EO);
   if (!Post.ok()) {
     mismatch("execution", "", "",
              "analyzed program executes within budget",
@@ -206,11 +200,11 @@ OracleResult OracleRun::run() {
 
   checkBehavior(Ref, Post);
 
-  SymbolEnv Env(*F, Args, Post);
-  for (const auto &L : LI.loops()) {
+  SymbolEnv Env(F, Args, Post);
+  for (const auto &L : P->LI->loops()) {
     if (L->depth() == 1) {
       checkLoopClaims(IA, L.get(), Post, Env);
-      checkMemberClaims(IA, DT, L.get(), Post, Env);
+      checkMemberClaims(IA, *P->DT, L.get(), Post, Env);
       checkTripCount(IA, L.get(), Post, Env);
     }
     if (Opts.CheckBaseline)

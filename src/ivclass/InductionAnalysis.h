@@ -95,20 +95,6 @@ public:
     unsigned MonotonicRegions = 0;
     unsigned UnknownRegions = 0;
     unsigned ExitValuesMaterialized = 0;
-
-    /// Accumulates \p O (batch drivers merge per-function stats).
-    Stats &operator+=(const Stats &O) {
-      Regions += O.Regions;
-      LinearFamilies += O.LinearFamilies;
-      PolynomialFamilies += O.PolynomialFamilies;
-      GeometricFamilies += O.GeometricFamilies;
-      PeriodicFamilies += O.PeriodicFamilies;
-      WrapArounds += O.WrapArounds;
-      MonotonicRegions += O.MonotonicRegions;
-      UnknownRegions += O.UnknownRegions;
-      ExitValuesMaterialized += O.ExitValuesMaterialized;
-      return *this;
-    }
   };
 
   /// \p F must be in SSA form with preds computed.  \p DT must be the

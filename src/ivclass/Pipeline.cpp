@@ -47,18 +47,6 @@ biv::ivclass::analyzeSource(const std::string &Source,
   return P;
 }
 
-std::vector<std::optional<AnalyzedProgram>>
-biv::ivclass::analyzeSources(const std::vector<std::string> &Sources,
-                             std::vector<std::vector<std::string>> &Errors,
-                             const PipelineOptions &Opts) {
-  std::vector<std::optional<AnalyzedProgram>> Results;
-  Results.reserve(Sources.size());
-  Errors.assign(Sources.size(), {});
-  for (size_t I = 0; I < Sources.size(); ++I)
-    Results.push_back(analyzeSource(Sources[I], Errors[I], Opts));
-  return Results;
-}
-
 AnalyzedProgram
 biv::ivclass::analyzeSourceOrDie(const std::string &Source,
                                  const PipelineOptions &Opts) {

@@ -73,15 +73,6 @@ AnalyzedProgram analyzeSourceOrDie(const std::string &Source,
                                    const PipelineOptions &Opts =
                                        PipelineOptions());
 
-/// Analyzes several independent programs with one set of options.  Slot i
-/// holds source i's analysis, or nullopt with its diagnostics appended to
-/// \p Errors[i].  This is the serial entry; driver::BatchAnalyzer shards the
-/// same per-unit work across a thread pool.
-std::vector<std::optional<AnalyzedProgram>>
-analyzeSources(const std::vector<std::string> &Sources,
-               std::vector<std::vector<std::string>> &Errors,
-               const PipelineOptions &Opts = PipelineOptions());
-
 } // namespace ivclass
 } // namespace biv
 

@@ -8,20 +8,25 @@ using namespace biv;
 using namespace biv::ivclass;
 
 namespace {
-// The per-kind stats counters mirror the lattice.  countHeaderPhiKinds is
-// the one accounting site (callers invoke it once per analyzed function:
-// the batch driver per unit, bivc once per run), so the `ivclass.kind.*`
-// counters always equal the KindCounts the Report is rendered from.
-const stats::Counter KindLinear("ivclass.kind.linear");
-const stats::Counter KindPolynomial("ivclass.kind.polynomial");
-const stats::Counter KindGeometric("ivclass.kind.geometric");
-const stats::Counter KindCFinite("ivclass.kind.cfinite");
-const stats::Counter KindWrapAround("ivclass.kind.wrap_around");
-const stats::Counter KindPeriodic("ivclass.kind.periodic");
-const stats::Counter KindMonotonic("ivclass.kind.monotonic");
-const stats::Counter KindPhasePeriodic("ivclass.kind.phase_periodic");
-const stats::Counter KindInvariant("ivclass.kind.invariant");
-const stats::Counter KindUnknown("ivclass.kind.unknown");
+// The per-kind stats counters mirror the lattice, indexed by IVKind.
+// countHeaderPhiKinds is the one accounting site (callers invoke it once
+// per analyzed function: driver::analyzeUnit per unit, bivc once per run),
+// so the `ivclass.kind.*` counters always equal the KindCounts the Report
+// is rendered from, and the batch footer can read them back.
+const stats::Counter KindCounters[] = {
+    stats::Counter("ivclass.kind.unknown"),
+    stats::Counter("ivclass.kind.invariant"),
+    stats::Counter("ivclass.kind.linear"),
+    stats::Counter("ivclass.kind.polynomial"),
+    stats::Counter("ivclass.kind.geometric"),
+    stats::Counter("ivclass.kind.cfinite"),
+    stats::Counter("ivclass.kind.wrap_around"),
+    stats::Counter("ivclass.kind.periodic"),
+    stats::Counter("ivclass.kind.monotonic"),
+    stats::Counter("ivclass.kind.phase_periodic"),
+};
+static_assert(std::size(KindCounters) == size_t(IVKind::PhasePeriodic) + 1,
+              "one counter per IVKind, in enum order");
 // The punt-rate numerator: header phis the analysis gave up on entirely.
 // ivclass.punt / sum(ivclass.kind.*) is the tracked punt rate (see
 // EXPERIMENTS.md); partial counts closed forms projected out of unsolvable
@@ -77,6 +82,7 @@ KindCounts biv::ivclass::countHeaderPhiKinds(InductionAnalysis &IA) {
       const Classification &PhiClass = IA.classify(Phi, L.get());
       if (PhiClass.Partial)
         ++C.Partial;
+      kindCounter(PhiClass.Kind).bump();
       switch (PhiClass.Kind) {
       case IVKind::Linear:
         ++C.Linear;
@@ -110,17 +116,11 @@ KindCounts biv::ivclass::countHeaderPhiKinds(InductionAnalysis &IA) {
         break;
       }
     }
-  KindLinear.bump(C.Linear);
-  KindPolynomial.bump(C.Polynomial);
-  KindGeometric.bump(C.Geometric);
-  KindCFinite.bump(C.CFinite);
-  KindWrapAround.bump(C.WrapAround);
-  KindPeriodic.bump(C.Periodic);
-  KindMonotonic.bump(C.Monotonic);
-  KindPhasePeriodic.bump(C.PhasePeriodic);
-  KindInvariant.bump(C.Invariant);
-  KindUnknown.bump(C.Unknown);
   KindPartial.bump(C.Partial);
   Punt.bump(C.Unknown);
   return C;
+}
+
+const stats::Counter &biv::ivclass::kindCounter(IVKind K) {
+  return KindCounters[size_t(K)];
 }

@@ -2,9 +2,6 @@
 
 #include "server/Server.h"
 #include "server/Fleet.h"
-#include "ir/Printer.h"
-#include "ivclass/Pipeline.h"
-#include "ivclass/Report.h"
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -33,10 +30,6 @@ const stats::Counter NumDeadlineExceeded("serve.deadline_exceeded");
 const stats::Counter NumRefusedAtShutdown("serve.refused_at_shutdown");
 const stats::Counter NumStatsRequests("serve.stats_requests");
 const stats::Counter NumReplyFailures("serve.reply_failures");
-const stats::Counter NumCacheHits("cache.hit");
-const stats::Counter NumCacheMisses("cache.miss");
-const stats::Counter NumCacheBytes("cache.bytes");
-const stats::Timer CacheTimer("phase.cache");
 const stats::Histogram LatencyHist("serve.latency_ns");
 const stats::Histogram QueueDepthHist("serve.queue_depth");
 
@@ -276,15 +269,13 @@ void Server::handleConnection(int Fd, stats::Frame &Base) {
   // the workers: a client holding its answer must find its own request in
   // a follow-up stats query, whichever thread replied.
   std::string Payload, Err;
-  if (!readFrame(Fd, Payload, Err)) {
-    NumBadRequests.bump();
-    mergeThreadDelta(Base);
-    reply(Fd, Response{Status::BadRequest, Err});
-    ::close(Fd);
-    return;
-  }
   Request Q;
-  if (!Q.decode(Payload, Err)) {
+  driver::AnalysisOptions AO;
+  // Undefined option bits are a malformed request like any other, refused
+  // before admission: such a request never takes a slot or a cache entry.
+  if (!readFrame(Fd, Payload, Err) || !Q.decode(Payload, Err) ||
+      (Q.Kind == RequestKind::Analyze &&
+       !driver::AnalysisOptions::fromBits(Q.OptsBits, AO, Err))) {
     NumBadRequests.bump();
     mergeThreadDelta(Base);
     reply(Fd, Response{Status::BadRequest, Err});
@@ -321,12 +312,13 @@ void Server::handleConnection(int Fd, stats::Frame &Base) {
   std::chrono::steady_clock::time_point Accepted =
       std::chrono::steady_clock::now();
   auto Shared = std::make_shared<Request>(std::move(Q));
-  Pool->submit([this, Fd, Shared, Accepted] {
-    serveAnalyze(Fd, std::move(*Shared), Accepted);
+  Pool->submit([this, Fd, Shared, AO, Accepted] {
+    serveAnalyze(Fd, std::move(*Shared), AO, Accepted);
   });
 }
 
 void Server::serveAnalyze(int Fd, Request Q,
+                          const driver::AnalysisOptions &AO,
                           std::chrono::steady_clock::time_point Accepted) {
   stats::Frame Base = stats::captureFrame();
   Response R;
@@ -354,7 +346,7 @@ void Server::serveAnalyze(int Fd, Request Q,
     try {
       if (Opts.TestHookBeforeAnalyze)
         Opts.TestHookBeforeAnalyze(Q);
-      R = analyze(Q);
+      R = analyze(Q.Source, AO);
     } catch (const std::exception &E) {
       NumAnalysisErrors.bump();
       R.S = Status::AnalysisError;
@@ -380,87 +372,30 @@ void Server::serveAnalyze(int Fd, Request Q,
   Admitted.fetch_sub(1);
 }
 
-Response Server::analyze(const Request &Q) {
-  // Option bits are the batch driver's digest bits; mirroring its unit
-  // path exactly (parse, probe, analyze, report) is what makes a served
-  // response byte-identical to the one-shot CLI and lets the daemon share
-  // cache files with --batch --cache runs.
-  const bool RunSCCP = (Q.OptsBits & 1) != 0;
-  const bool Materialize = (Q.OptsBits & 2) != 0;
-  const bool Classify = (Q.OptsBits & 4) != 0;
-  const bool AllValues = (Q.OptsBits & 8) != 0;
-  const bool NestedTuples = (Q.OptsBits & 16) != 0;
-  const bool Summarize = (Q.OptsBits & 32) != 0;
-
-  ivclass::PipelineOptions PO;
-  PO.RunSCCP = RunSCCP;
-  PO.VerifyEach = false;
-  PO.Analysis.MaterializeExitValues = Materialize;
-  PO.Analysis.Summarize = Summarize;
-  ivclass::ReportOptions RO;
-  RO.AllValues = AllValues;
-  RO.NestedTuples = NestedTuples;
-
-  std::vector<std::string> Errors;
-  std::optional<ivclass::AnalyzedProgram> P =
-      ivclass::parseSource(Q.Source, Errors);
-  if (!P) {
+Response Server::analyze(const std::string &Source,
+                         const driver::AnalysisOptions &AO) {
+  // The batch driver's unit path under the request's options: that is
+  // what makes a served response byte-identical to the one-shot CLI and
+  // lets the daemon share cache files with --batch --cache runs.
+  driver::UnitResult U =
+      driver::analyzeUnit(Source, AO, HaveCache ? &Cache : nullptr);
+  Response R;
+  if (!U.OK) {
     NumAnalysisErrors.bump();
-    Response R;
     R.S = Status::AnalysisError;
-    for (const std::string &E : Errors) {
+    for (const std::string &E : U.Errors) {
       R.Body += E;
       R.Body += '\n';
     }
     return R;
   }
-
-  uint64_t Digest = 0;
-  if (HaveCache) {
-    const cache::CacheEntry *CE = nullptr;
-    {
-      stats::ScopedSpan Span(CacheTimer);
-      Digest = cache::unitDigest(ir::toString(*P->F), Q.OptsBits);
-      CE = Cache.lookup(Digest);
-      if (!CE && Cache.refreshIfChanged())
-        // A fleet sibling may have flushed this digest since our view
-        // was mapped; one cheap stat per miss buys cross-worker warmth.
-        CE = Cache.lookup(Digest);
-    }
-    if (CE) {
-      NumCacheHits.bump();
-      NumCacheBytes.bump(CE->ReportText.size());
-      // Same replay rule as the batch driver: stored analysis counters fire
-      // again so merged counters stay corpus-shaped, while phase timers do
-      // not (spans must prove the classification was actually skipped).
-      for (const auto &[Name, V] : CE->Counters)
-        stats::bumpNamedCounter(Name, V);
-      return Response{Status::Ok, CE->ReportText};
-    }
-    NumCacheMisses.bump();
-  }
-
-  stats::Frame PostParse = stats::captureFrame();
-  ivclass::analyzeParsed(*P, PO);
-  Response R;
-  R.S = Status::Ok;
-  ivclass::KindCounts Kinds = ivclass::countHeaderPhiKinds(*P->IA);
-  if (Classify)
-    R.Body = ivclass::report(*P->IA, &P->Info, RO);
-  if (HaveCache) {
-    cache::CacheEntry E;
-    E.ReportText = R.Body;
-    E.Stats = P->IA->stats();
-    E.Kinds = Kinds;
-    E.Instructions = P->F->instructionCount();
-    E.Loops = P->LI->loops().size();
-    E.Counters =
-        stats::snapshotFrame(stats::captureFrame() - PostParse).Counters;
+  R.Body = std::move(U.ReportText);
+  if (U.MissDigest != 0) {
     // Completion-order insertion: entries are content-addressed, so
     // concurrent misses for the same digest keep the first copy and the
     // bytes of any one entry are deterministic even though the file-level
     // order is not (unlike --batch, which commits in input order).
-    Cache.insert(Digest, std::move(E));
+    Cache.insert(U.MissDigest, std::move(U.MissEntry));
     // Flush cadence: land accumulated misses on disk so fleet siblings
     // can warm from them and a crash loses bounded work.  try_lock keeps
     // workers from convoying behind one flush; whoever loses just keeps

@@ -45,6 +45,7 @@
 #define BEYONDIV_SERVER_SERVER_H
 
 #include "cache/AnalysisCache.h"
+#include "driver/BatchAnalyzer.h"
 #include "driver/ThreadPool.h"
 #include "server/Protocol.h"
 #include "support/Stats.h"
@@ -154,9 +155,12 @@ private:
   /// the accept thread's stats-fold cursor (folded before any reply this
   /// thread sends itself).
   void handleConnection(int Fd, stats::Frame &Base);
-  void serveAnalyze(int Fd, Request Q,
+  void serveAnalyze(int Fd, Request Q, const driver::AnalysisOptions &AO,
                     std::chrono::steady_clock::time_point Accepted);
-  Response analyze(const Request &Q);
+  /// driver::analyzeUnit plus the daemon's cache policy: insert on
+  /// completion, flush on a cadence.
+  Response analyze(const std::string &Source,
+                   const driver::AnalysisOptions &AO);
   void reply(int Fd, const Response &R);
   /// Folds the calling thread's frame progress since \p Base into the
   /// server-lifetime frame and advances \p Base.

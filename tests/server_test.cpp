@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/BatchAnalyzer.h"
 #include "ivclass/Pipeline.h"
 #include "ivclass/Report.h"
 #include "server/Client.h"
@@ -32,9 +33,13 @@ using namespace biv::server;
 
 namespace {
 
-// The one-shot CLI's default option bits: RunSCCP | MaterializeExitValues
-// | Classify | the NestedTuples report default.
-constexpr uint64_t DefaultBits = 1 | 2 | 4 | 16;
+// The one-shot CLI's default options, as `bivc --connect` sends them: the
+// batch defaults with exit values materialized.
+const uint64_t DefaultBits = [] {
+  driver::AnalysisOptions AO;
+  AO.MaterializeExitValues = true;
+  return AO.toBits();
+}();
 
 std::string tempDir() {
   static int Seq = 0;
@@ -382,6 +387,36 @@ TEST(ServerTest, MalformedFrameGetsBadRequest) {
   EXPECT_EQ(R.S, Status::BadRequest);
   ::close(Fd);
   ASSERT_TRUE(S.drain(Err)) << Err;
+}
+
+TEST(ServerTest, UndefinedOptionBitsGetBadRequestBeforeAdmission) {
+  std::string Dir = tempDir();
+  ServerOptions SO;
+  SO.CachePath = Dir + "/d.cache";
+  Server S(Dir + "/d.sock", SO);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  Request Q;
+  Q.OptsBits = DefaultBits | 64;
+  Q.Source = SimpleSrc;
+  Response R;
+  ASSERT_TRUE(call(S.socketPath(), Q, R, Err)) << Err;
+  EXPECT_EQ(R.S, Status::BadRequest);
+  EXPECT_NE(R.Body.find("unknown option bits 0x40"), std::string::npos)
+      << R.Body;
+
+  // Refused on the accept thread: no admission slot, no parse, no probe.
+  stats::StatsSnapshot Snap = S.statsSnapshot();
+  EXPECT_EQ(Snap.Counters.at("serve.bad_requests"), 1u);
+  EXPECT_EQ(Snap.Hists.count("serve.queue_depth"), 0u);
+  EXPECT_EQ(Snap.Counters.count("cache.miss"), 0u);
+  ASSERT_TRUE(S.drain(Err)) << Err;
+
+  // And no cache entry.
+  cache::AnalysisCache C;
+  ASSERT_TRUE(C.open(SO.CachePath, Err)) << Err;
+  EXPECT_EQ(C.entryCount(), 0u);
 }
 
 TEST(ServerTest, ClientGoneBeforeReplyIsAConnectionErrorNotACrash) {

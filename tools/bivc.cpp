@@ -68,7 +68,7 @@
 //     ENDPOINT is a unix socket path, or tcp:HOST:PORT for a --serve-tcp
 //     frontend.
 //     Blocking client for the daemon: sends FILE (honouring --all-values,
-//     --no-sccp, --materialize) and prints the server's report, or fetches
+//     --no-sccp, --summarize) and prints the server's report, or fetches
 //     the daemon's merged stats snapshot as JSON.  A non-ok status
 //     (overloaded, deadline_exceeded, shutting_down, analysis errors) goes
 //     to stderr with exit status 1.  --deadline-ms bounds how long the
@@ -98,7 +98,6 @@
 #include "server/Client.h"
 #include "server/Fleet.h"
 #include "server/Server.h"
-#include "ssa/SCCP.h"
 #include "ssa/SSABuilder.h"
 #include "ssa/SSAVerifier.h"
 #include "support/Stats.h"
@@ -649,6 +648,20 @@ int runServe(const CliOptions &O) {
   return Rc;
 }
 
+/// The analysis options of a one-shot run.  Exit values are always
+/// materialized (--batch defaults that off instead) and tuples nested.
+/// --connect sends these same options, which is what makes a served report
+/// byte-identical to `bivc FILE`.
+driver::AnalysisOptions oneShotOptions(const CliOptions &O) {
+  driver::AnalysisOptions AO;
+  AO.RunSCCP = O.RunSCCP;
+  AO.MaterializeExitValues = true;
+  AO.Classify = O.Classify;
+  AO.Summarize = O.Summarize;
+  AO.Report.AllValues = O.AllValues;
+  return AO;
+}
+
 int runConnect(const CliOptions &O) {
   server::Request Q;
   if (O.ServerStats) {
@@ -663,12 +676,7 @@ int runConnect(const CliOptions &O) {
     Buf << In.rdbuf();
     Q.Kind = server::RequestKind::Analyze;
     Q.Source = Buf.str();
-    // The batch driver's digest bits.  Bit 2 (exit-value materialization)
-    // and bit 16 (nested tuples) are always on: those are the one-shot
-    // pipeline's defaults, and --connect promises byte-identity with it
-    // (--batch defaults materialization off instead).
-    Q.OptsBits = (O.RunSCCP ? 1u : 0u) | 2u | (O.Classify ? 4u : 0u) |
-                 (O.AllValues ? 8u : 0u) | 16u | (O.Summarize ? 32u : 0u);
+    Q.OptsBits = oneShotOptions(O).toBits();
     Q.DeadlineMs = O.DeadlineMs;
   }
   server::Response R;
@@ -711,9 +719,9 @@ int main(int Argc, char **Argv) {
   Buf << In.rdbuf();
 
   std::vector<std::string> Errors;
-  std::unique_ptr<ir::Function> F =
-      frontend::parseAndLower(Buf.str(), Errors);
-  if (!F) {
+  ivclass::AnalyzedProgram P;
+  P.F = frontend::parseAndLower(Buf.str(), Errors);
+  if (!P.F) {
     for (const std::string &E : Errors)
       std::fprintf(stderr, "bivc: %s\n", E.c_str());
     // Diagnostics are themselves counted; a failing parse still reports.
@@ -723,7 +731,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (!O.PeelLoop.empty()) {
-    unsigned Peeled = transform::peelLoop(*F, O.PeelLoop, O.PeelTimes);
+    unsigned Peeled = transform::peelLoop(*P.F, O.PeelLoop, O.PeelTimes);
     if (Peeled < O.PeelTimes) {
       // Partial success is still a failure of the request, but the IR now
       // really carries Peeled copies -- say so instead of pretending
@@ -738,37 +746,30 @@ int main(int Argc, char **Argv) {
                 O.PeelLoop.c_str());
   }
 
-  ssa::SSAInfo Info = ssa::buildSSA(*F);
-  ssa::verifySSAOrDie(*F);
-  if (O.RunSCCP)
-    ssa::runSCCP(*F, /*SimplifyCFG=*/false);
-
-  analysis::DominatorTree DT(*F);
-  analysis::LoopInfo LI(*F, DT);
-  ivclass::InductionAnalysis::Options AO;
-  AO.Summarize = O.Summarize;
-  ivclass::InductionAnalysis IA(*F, DT, LI, AO);
-  IA.run();
+  // Peeling rewrites the lowered IR, so the front half is spelled out here;
+  // the analysis half is the pipeline's, under oneShotOptions.
+  P.Info = ssa::buildSSA(*P.F);
+  ssa::verifySSAOrDie(*P.F);
+  const driver::AnalysisOptions AO = oneShotOptions(O);
+  ivclass::analyzeParsed(P, AO.pipeline());
+  ivclass::InductionAnalysis &IA = *P.IA;
 
   if (O.StrengthReduce) {
     transform::StrengthReduceStats S = transform::strengthReduce(IA);
     std::printf(";; strength reduction: %u multiplication(s) replaced\n",
                 S.Reduced);
-    ssa::verifySSAOrDie(*F);
+    ssa::verifySSAOrDie(*P.F);
     O.PrintIR = true;
   }
 
   if (O.PrintIR)
-    std::printf("%s\n", ir::toString(*F).c_str());
+    std::printf("%s\n", ir::toString(*P.F).c_str());
 
-  if (O.Classify) {
-    ivclass::ReportOptions RO;
-    RO.AllValues = O.AllValues;
-    std::printf("%s", ivclass::report(IA, &Info, RO).c_str());
-  }
+  if (O.Classify)
+    std::printf("%s", ivclass::report(IA, &P.Info, AO.Report).c_str());
 
   if (O.TripCounts)
-    for (const auto &L : LI.loops())
+    for (const auto &L : P.LI->loops())
       std::printf("trip count of %s: %s\n", L->name().c_str(),
                   IA.tripCount(L.get()).str(IA.namer()).c_str());
 
@@ -779,7 +780,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (O.Run) {
-    interp::ExecutionTrace T = interp::run(*F, O.RunArgs);
+    interp::ExecutionTrace T = interp::run(*P.F, O.RunArgs);
     if (!T.ok()) {
       std::fprintf(stderr, "bivc: execution failed: %s\n", T.Error.c_str());
       return 1;
@@ -795,7 +796,8 @@ int main(int Argc, char **Argv) {
 
   if (O.statsRequested()) {
     // The per-kind counters fire in countHeaderPhiKinds (the one canonical
-    // accounting site); batch mode calls it per unit, single mode here.
+    // accounting site); driver::analyzeUnit calls it per unit, single mode
+    // here.
     ivclass::countHeaderPhiKinds(IA);
     if (!writeStatsOutputs(O, stats::snapshotFrame(stats::captureFrame())))
       return 1;

@@ -53,78 +53,40 @@ for P in $PATHS; do
   fi
 done
 
-# 3. The cache salt the docs document must be the salt the code ships:
-# DESIGN.md section 9 states the current AnalysisVersionSalt in bold so
-# readers can tell stale cache files apart; a bump that forgets the doc
-# (or vice versa) fails here.
-CODE_SALT=$(sed -n \
-  's/.*AnalysisVersionSalt = \([0-9][0-9]*\);.*/\1/p' \
-  src/cache/AnalysisCache.h)
-DOC_SALT=$(sed -n \
-  's/.*`AnalysisVersionSalt` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
-  DESIGN.md)
-if [ -z "$CODE_SALT" ]; then
-  echo "docs_check: cannot find AnalysisVersionSalt in" \
-       "src/cache/AnalysisCache.h" >&2
-  FAIL=1
-elif [ -z "$DOC_SALT" ]; then
-  echo "docs_check: DESIGN.md does not document the current" \
-       "AnalysisVersionSalt" >&2
-  FAIL=1
-elif [ "$CODE_SALT" != "$DOC_SALT" ]; then
-  echo "docs_check: DESIGN.md documents AnalysisVersionSalt $DOC_SALT" \
-       "but src/cache/AnalysisCache.h says $CODE_SALT" >&2
-  FAIL=1
-fi
+# 3. Constants DESIGN.md states in bold as "`NAME` (currently **N**" must
+# equal the "NAME = N;" the code declares; a bump that forgets the doc (or
+# vice versa) fails here.
+VERIFIED=""
+check_constant() { # NAME FILE
+  CODE=$(sed -n "s/.*$1 = \([0-9][0-9]*\);.*/\1/p" "$2")
+  DOC=$(sed -n "s/.*\`$1\` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p" \
+    DESIGN.md)
+  if [ -z "$CODE" ]; then
+    echo "docs_check: cannot find $1 in $2" >&2
+    FAIL=1
+  elif [ -z "$DOC" ]; then
+    echo "docs_check: DESIGN.md does not document the current $1" >&2
+    FAIL=1
+  elif [ "$CODE" != "$DOC" ]; then
+    echo "docs_check: DESIGN.md documents $1 $DOC but $2 says $CODE" >&2
+    FAIL=1
+  fi
+  VERIFIED="$VERIFIED $1=$CODE"
+}
+# Section 9: the cache salt and file format, so readers can tell stale
+# cache files apart.
+check_constant AnalysisVersionSalt src/cache/AnalysisCache.h
+check_constant CacheFormatVersion src/cache/AnalysisCache.h
+# Section 10: the daemon's wire protocol.
+check_constant ProtocolVersion src/server/Protocol.h
+# Section 11: the per-unit allocation ceiling, which bench/bench_batch.cpp
+# asserts; doc and assertion must move together.
+check_constant MaxHeapAllocsPerUnit bench/bench_batch.cpp
+# Section 14: the summarizer's conjecture bounds.
+check_constant SummarizeMaxPeriod src/ivclass/Summarize.h
+check_constant SummarizeSampleCount src/ivclass/Summarize.h
 
-# 4. Same contract for the daemon's wire protocol: DESIGN.md section 10
-# states the current ProtocolVersion in bold; a wire-visible change that
-# bumps the constant but not the doc (or vice versa) fails here.
-CODE_PROTO=$(sed -n \
-  's/.*ProtocolVersion = \([0-9][0-9]*\);.*/\1/p' \
-  src/server/Protocol.h)
-DOC_PROTO=$(sed -n \
-  's/.*`ProtocolVersion` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
-  DESIGN.md)
-if [ -z "$CODE_PROTO" ]; then
-  echo "docs_check: cannot find ProtocolVersion in" \
-       "src/server/Protocol.h" >&2
-  FAIL=1
-elif [ -z "$DOC_PROTO" ]; then
-  echo "docs_check: DESIGN.md does not document the current" \
-       "ProtocolVersion" >&2
-  FAIL=1
-elif [ "$CODE_PROTO" != "$DOC_PROTO" ]; then
-  echo "docs_check: DESIGN.md documents ProtocolVersion $DOC_PROTO" \
-       "but src/server/Protocol.h says $CODE_PROTO" >&2
-  FAIL=1
-fi
-
-# 5. Same contract for the per-unit allocation ceiling: DESIGN.md
-# section 11 states the current MaxHeapAllocsPerUnit in bold, and
-# bench/bench_batch.cpp fails its run when the front-half hot path
-# exceeds the constant; doc and assertion must move together.
-CODE_CEIL=$(sed -n \
-  's/.*MaxHeapAllocsPerUnit = \([0-9][0-9]*\);.*/\1/p' \
-  bench/bench_batch.cpp)
-DOC_CEIL=$(sed -n \
-  's/.*`MaxHeapAllocsPerUnit` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
-  DESIGN.md)
-if [ -z "$CODE_CEIL" ]; then
-  echo "docs_check: cannot find MaxHeapAllocsPerUnit in" \
-       "bench/bench_batch.cpp" >&2
-  FAIL=1
-elif [ -z "$DOC_CEIL" ]; then
-  echo "docs_check: DESIGN.md does not document the current" \
-       "MaxHeapAllocsPerUnit" >&2
-  FAIL=1
-elif [ "$CODE_CEIL" != "$DOC_CEIL" ]; then
-  echo "docs_check: DESIGN.md documents MaxHeapAllocsPerUnit $DOC_CEIL" \
-       "but bench/bench_batch.cpp says $CODE_CEIL" >&2
-  FAIL=1
-fi
-
-# 6. Fleet constants: the README documents the default worker count and
+# 4. Fleet constants: the README documents the default worker count and
 # the default cache cap; both live in src/server/Fleet.h and must match.
 CODE_WORKERS=$(sed -n \
   's/.*DefaultWorkers = \([0-9][0-9]*\);.*/\1/p' src/server/Fleet.h)
@@ -162,7 +124,7 @@ elif [ "$CODE_CACHE_CAP" != "$DOC_CACHE_CAP" ]; then
   FAIL=1
 fi
 
-# 7. The c-finite lattice extension ships with its documentation: as long
+# 5. The c-finite lattice extension ships with its documentation: as long
 # as the classifier defines IVKind::CFinite, DESIGN.md must carry the
 # "C-finite lattice extension" section and EXPERIMENTS.md must track the
 # punt-rate metric by its real counter name (`ivclass.punt`, declared in
@@ -185,54 +147,9 @@ if grep -q "CFinite" src/ivclass/Classification.h; then
   fi
 fi
 
-# 8. Summarizer constants: DESIGN.md section 14 states the conjecture
-# bounds in bold; both live in src/ivclass/Summarize.h and must match.
-CODE_SUMM_PERIOD=$(sed -n \
-  's/.*SummarizeMaxPeriod = \([0-9][0-9]*\);.*/\1/p' \
-  src/ivclass/Summarize.h)
-DOC_SUMM_PERIOD=$(sed -n \
-  's/.*`SummarizeMaxPeriod` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
-  DESIGN.md)
-if [ -z "$CODE_SUMM_PERIOD" ]; then
-  echo "docs_check: cannot find SummarizeMaxPeriod in" \
-       "src/ivclass/Summarize.h" >&2
-  FAIL=1
-elif [ -z "$DOC_SUMM_PERIOD" ]; then
-  echo "docs_check: DESIGN.md does not document the current" \
-       "SummarizeMaxPeriod" >&2
-  FAIL=1
-elif [ "$CODE_SUMM_PERIOD" != "$DOC_SUMM_PERIOD" ]; then
-  echo "docs_check: DESIGN.md documents SummarizeMaxPeriod" \
-       "$DOC_SUMM_PERIOD but src/ivclass/Summarize.h says" \
-       "$CODE_SUMM_PERIOD" >&2
-  FAIL=1
-fi
-CODE_SUMM_SAMPLES=$(sed -n \
-  's/.*SummarizeSampleCount = \([0-9][0-9]*\);.*/\1/p' \
-  src/ivclass/Summarize.h)
-DOC_SUMM_SAMPLES=$(sed -n \
-  's/.*`SummarizeSampleCount` (currently \*\*\([0-9][0-9]*\)\*\*.*/\1/p' \
-  DESIGN.md)
-if [ -z "$CODE_SUMM_SAMPLES" ]; then
-  echo "docs_check: cannot find SummarizeSampleCount in" \
-       "src/ivclass/Summarize.h" >&2
-  FAIL=1
-elif [ -z "$DOC_SUMM_SAMPLES" ]; then
-  echo "docs_check: DESIGN.md does not document the current" \
-       "SummarizeSampleCount" >&2
-  FAIL=1
-elif [ "$CODE_SUMM_SAMPLES" != "$DOC_SUMM_SAMPLES" ]; then
-  echo "docs_check: DESIGN.md documents SummarizeSampleCount" \
-       "$DOC_SUMM_SAMPLES but src/ivclass/Summarize.h says" \
-       "$CODE_SUMM_SAMPLES" >&2
-  FAIL=1
-fi
-
 if [ "$FAIL" = 0 ]; then
   echo "docs_check: OK ($(echo "$FLAGS" | wc -w) flags," \
-       "$(echo "$PATHS" | wc -w) paths, cache salt $CODE_SALT," \
-       "protocol version $CODE_PROTO, alloc ceiling $CODE_CEIL," \
-       "fleet defaults $CODE_WORKERS/$CODE_CACHE_CAP," \
-       "summarizer $CODE_SUMM_PERIOD/$CODE_SUMM_SAMPLES verified)"
+       "$(echo "$PATHS" | wc -w) paths,$VERIFIED," \
+       "fleet defaults $CODE_WORKERS/$CODE_CACHE_CAP verified)"
 fi
 exit "$FAIL"
