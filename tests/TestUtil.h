@@ -9,14 +9,11 @@
 #ifndef BEYONDIV_TESTS_TESTUTIL_H
 #define BEYONDIV_TESTS_TESTUTIL_H
 
-#include "analysis/DominatorTree.h"
-#include "analysis/LoopInfo.h"
 #include "frontend/Lowering.h"
 #include "interp/Interpreter.h"
 #include "ir/Printer.h"
-#include "ivclass/InductionAnalysis.h"
+#include "ivclass/Pipeline.h"
 #include "ssa/SCCP.h"
-#include "ssa/SSABuilder.h"
 #include "ssa/SSAVerifier.h"
 #include <gtest/gtest.h>
 #include <memory>
@@ -26,13 +23,7 @@ namespace biv {
 namespace testutil {
 
 /// A program pushed through the whole pipeline.
-struct Analyzed {
-  std::unique_ptr<ir::Function> F;
-  ssa::SSAInfo Info;
-  std::unique_ptr<analysis::DominatorTree> DT;
-  std::unique_ptr<analysis::LoopInfo> LI;
-  std::unique_ptr<ivclass::InductionAnalysis> IA;
-
+struct Analyzed : ivclass::AnalyzedProgram {
   analysis::Loop *loop(const std::string &Name) const {
     analysis::Loop *L = LI->byName(Name);
     EXPECT_NE(L, nullptr) << "no loop named " << Name;
@@ -106,20 +97,12 @@ inline std::unique_ptr<ir::Function> makeSSA(const std::string &Src,
 /// [WZ91] step); figure tests usually keep it on.
 inline Analyzed analyze(const std::string &Src, bool RunSCCP = false,
                         ivclass::InductionAnalysis::Options Opts = {}) {
+  ivclass::PipelineOptions PO;
+  PO.RunSCCP = RunSCCP;
+  PO.Analysis = Opts;
   Analyzed A;
-  A.F = frontend::parseAndLowerOrDie(Src);
-  A.Info = ssa::buildSSA(*A.F);
-  ssa::verifySSAOrDie(*A.F);
-  if (RunSCCP) {
-    // Fold-only: pruning branches could delete the loops under test.
-    ssa::runSCCP(*A.F, /*SimplifyCFG=*/false);
-    ssa::verifySSAOrDie(*A.F);
-  }
-  A.DT = std::make_unique<analysis::DominatorTree>(*A.F);
-  A.LI = std::make_unique<analysis::LoopInfo>(*A.F, *A.DT);
-  A.IA = std::make_unique<ivclass::InductionAnalysis>(*A.F, *A.DT, *A.LI,
-                                                      Opts);
-  A.IA->run();
+  static_cast<ivclass::AnalyzedProgram &>(A) =
+      ivclass::analyzeSourceOrDie(Src, PO);
   return A;
 }
 
