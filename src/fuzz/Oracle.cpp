@@ -154,9 +154,10 @@ OracleResult OracleRun::run() {
   if (Args.size() < FRef->arguments().size())
     Args.resize(FRef->arguments().size(), Args.empty() ? 6 : Args.back());
 
-  // Seed array A with mixed signs so conditional paths both execute.
+  // Seed array A, when the program declares one, with mixed signs so
+  // conditional paths both execute.
   std::map<std::string, std::map<std::vector<int64_t>, int64_t>> Arrays;
-  {
+  if (FRef->findArray("A")) {
     Lcg R(Opts.ArraySeed * 77 + 1);
     for (int64_t I = -32; I <= 64; ++I)
       Arrays["A"][{I}] = R.range(-5, 8);

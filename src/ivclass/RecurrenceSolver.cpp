@@ -26,14 +26,13 @@ const stats::Counter NumTooLarge("ivclass.solver.too_large");
 // Coupled-system solves attempted / rejected at the eigenvalue stage.
 const stats::Counter NumSystems("ivclass.solver.system");
 const stats::Counter NumBadEigen("ivclass.solver.system_bad_eigen");
+// Wall time of the coupled solves NumSystems counts; nests inside
+// phase.classify or phase.summarize, whichever asked for the solve.
+const stats::Timer SolverPhase("phase.solver");
 
 /// Hard cap on the basis size: beyond this the exact elimination overflows
 /// int64 rationals in practice, so don't even build the matrix.
 constexpr unsigned MaxUnknowns = 16;
-
-/// Largest coupled system worth attempting (the classifier only builds
-/// small ones; the characteristic-polynomial root search below is exact and
-/// cheap at this size).
 
 /// Basis shape of an exponential-polynomial fit: powers of h up to PolyDeg,
 /// plus h^j * b^h for each (b, d) in ExpDeg with j <= d.
@@ -173,6 +172,7 @@ solveLinearSystemImpl(const RatMatrix &M, const std::vector<ClosedForm> &B,
     return Out;
   }
   NumSystems.bump();
+  stats::ScopedSpan Span(SolverPhase);
 
   // Characteristic polynomial of M via Faddeev-LeVerrier, exact over the
   // rationals: char(x) = x^P + C[1]*x^(P-1) + ... + C[P].
@@ -193,7 +193,10 @@ solveLinearSystemImpl(const RatMatrix &M, const std::vector<ClosedForm> &B,
   // Representable solutions need every eigenvalue to be a nonzero integer.
   // Then the monic characteristic polynomial has integer coefficients and
   // every root divides the constant term, so deflate by each candidate
-  // divisor (synthetic division over the rationals, counting multiplicity).
+  // divisor (synthetic division over the rationals, counting multiplicity),
+  // ascending and +D before -D.  The divisors come from the factorisation of
+  // the constant, so the search costs at most 2 * 103,680 candidates
+  // whatever the coefficients' size.
   for (unsigned K = 1; K <= P; ++K)
     if (!C[K].isInteger()) {
       NumBadEigen.bump();
@@ -206,21 +209,17 @@ solveLinearSystemImpl(const RatMatrix &M, const std::vector<ClosedForm> &B,
     NumBadEigen.bump();
     return Out;
   }
-  const int64_t AbsC = Const < 0 ? -Const : Const;
-  std::vector<int64_t> Divs;
-  for (int64_t D = 1; D * D <= AbsC; ++D)
-    if (AbsC % D == 0) {
-      Divs.push_back(D);
-      if (D != AbsC / D)
-        Divs.push_back(AbsC / D);
-    }
-  std::sort(Divs.begin(), Divs.end());
+  // The magnitude is taken unsigned, so no int64 negation is involved.
+  // The last trace above, -P * Const, fit int64, so every divisor does too.
+  const uint64_t AbsC = Const < 0 ? 0 - uint64_t(Const) : uint64_t(Const);
+  assert(AbsC <= (uint64_t(1) << 63) / P && "trace -P * Const overflowed");
 
   std::vector<Rational> Poly(C); // highest power first, Poly[0] == 1
   std::map<int64_t, unsigned> Mult;
-  for (int64_t D : Divs)
+  for (uint64_t D : positiveDivisors(AbsC))
     for (int64_t Sign : {int64_t(1), int64_t(-1)}) {
-      const Rational R(Sign * D);
+      const int64_t Root = Sign * int64_t(D);
+      const Rational R(Root);
       while (Poly.size() > 1) {
         // Synthetic division by (x - R): Horner accumulators are the
         // quotient coefficients, the final one the remainder.
@@ -234,7 +233,7 @@ solveLinearSystemImpl(const RatMatrix &M, const std::vector<ClosedForm> &B,
           break;
         Q.pop_back();
         Poly = std::move(Q);
-        ++Mult[Sign * D];
+        ++Mult[Root];
       }
     }
   if (Poly.size() > 1) {

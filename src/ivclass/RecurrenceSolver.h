@@ -25,6 +25,13 @@
 /// zero eigenvalues past order one) safely returns nullopt, never a bogus
 /// form, because the verification iterates reject a wrong basis guess.
 ///
+/// A coupled system's integer eigenvalues are sought among the divisors of
+/// its characteristic polynomial's constant term.  positiveDivisors()
+/// lists them from the constant's 64-bit factorisation, so the search is
+/// bounded by the divisor count (at most 103,680), not by the constant's
+/// size, and a candidate that overflows the rationals ends the solve as
+/// "no closed form".
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEYONDIV_IVCLASS_RECURRENCESOLVER_H
@@ -59,7 +66,9 @@ std::optional<ClosedForm> solveLinearRecurrence(const Rational &A,
 /// its closed form, or nullopt for components that could not be fitted.  The
 /// whole vector is nullopt when the characteristic polynomial of M has roots
 /// outside the nonzero integers (no component is representable then).
-/// Requires M square with B.size() == Init.size() == M.rows().
+/// Requires M square with B.size() == Init.size() == M.rows().  Each
+/// coupled solve (2 <= M.rows() <= MaxSystemSize) bumps
+/// ivclass.solver.system and runs inside one phase.solver span.
 std::vector<std::optional<ClosedForm>>
 solveLinearSystem(const RatMatrix &M, const std::vector<ClosedForm> &B,
                   const std::vector<Affine> &Init);

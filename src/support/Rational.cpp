@@ -1,6 +1,8 @@
 //===- support/Rational.cpp - Exact rational arithmetic -------------------===//
 
 #include "support/Rational.h"
+#include <algorithm>
+#include <numeric>
 
 using namespace biv;
 
@@ -15,6 +17,124 @@ int64_t biv::gcd64(int64_t A, int64_t B) {
     B = T;
   }
   return A;
+}
+
+namespace {
+
+using U128 = unsigned __int128;
+
+uint64_t mulMod(uint64_t A, uint64_t B, uint64_t M) {
+  return uint64_t(U128(A) * B % M);
+}
+
+uint64_t powMod(uint64_t B, uint64_t E, uint64_t M) {
+  uint64_t R = 1;
+  for (B %= M; E != 0; E >>= 1) {
+    if (E & 1)
+      R = mulMod(R, B, M);
+    B = mulMod(B, B, M);
+  }
+  return R;
+}
+
+/// The first twelve primes.  As Miller-Rabin bases they decide primality
+/// exactly for every N below 3.3e24, so for all of uint64_t.
+constexpr uint64_t SmallPrimes[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+
+/// Deterministic Miller-Rabin for N > 1 with no factor among SmallPrimes.
+bool isPrime(uint64_t N) {
+  if (N < 41 * 41) // a composite's least prime factor is at most its root
+    return true;
+  uint64_t D = N - 1;
+  unsigned S = 0;
+  for (; (D & 1) == 0; D >>= 1)
+    ++S;
+  for (uint64_t A : SmallPrimes) {
+    uint64_t X = powMod(A, D, N);
+    if (X == 1 || X == N - 1)
+      continue;
+    unsigned R = 1;
+    for (; R < S; ++R) {
+      X = mulMod(X, X, N);
+      if (X == N - 1)
+        break;
+    }
+    if (R == S)
+      return false;
+  }
+  return true;
+}
+
+/// A nontrivial factor of the composite \p N, which has no factor among
+/// SmallPrimes: Pollard's rho with Brent's cycle detection, one gcd per
+/// batch of 128 differences.  A walk that collapses onto N itself retries
+/// with the next increment C.
+uint64_t findFactor(uint64_t N) {
+  constexpr uint64_t Batch = 128;
+  auto Dist = [](uint64_t A, uint64_t B) { return A > B ? A - B : B - A; };
+  for (uint64_t C = 1;; ++C) {
+    auto F = [&](uint64_t X) { return uint64_t((U128(X) * X + C) % N); };
+    uint64_t X = 2, Y = 2, Ys = 2, Q = 1, G = 1;
+    for (uint64_t R = 1; G == 1; R *= 2) {
+      X = Y;
+      for (uint64_t I = 0; I < R; ++I)
+        Y = F(Y);
+      for (uint64_t K = 0; K < R && G == 1; K += Batch) {
+        Ys = Y;
+        for (uint64_t I = 0, E = std::min(Batch, R - K); I < E; ++I) {
+          Y = F(Y);
+          Q = mulMod(Q, Dist(X, Y), N);
+        }
+        G = std::gcd(Q, N);
+      }
+    }
+    // The batch product hit a multiple of N: replay it one step at a time.
+    if (G == N)
+      do {
+        Ys = F(Ys);
+        G = std::gcd(Dist(X, Ys), N);
+      } while (G == 1);
+    if (G != N)
+      return G;
+  }
+}
+
+void collectPrimes(uint64_t N, std::vector<uint64_t> &Primes) {
+  if (N == 1)
+    return;
+  if (isPrime(N)) {
+    Primes.push_back(N);
+    return;
+  }
+  const uint64_t D = findFactor(N);
+  collectPrimes(D, Primes);
+  collectPrimes(N / D, Primes);
+}
+
+} // namespace
+
+std::vector<uint64_t> biv::positiveDivisors(uint64_t N) {
+  assert(N != 0 && "every integer divides zero");
+  std::vector<uint64_t> Primes;
+  for (uint64_t P : SmallPrimes)
+    for (; N % P == 0; N /= P)
+      Primes.push_back(P);
+  collectPrimes(N, Primes);
+  std::sort(Primes.begin(), Primes.end());
+
+  // Each run of an equal prime p^e multiplies the list so far by p..p^e.
+  std::vector<uint64_t> Divs = {1};
+  for (size_t I = 0, J; I < Primes.size(); I = J) {
+    const size_t Known = Divs.size();
+    uint64_t Pow = 1;
+    for (J = I; J < Primes.size() && Primes[J] == Primes[I]; ++J) {
+      Pow *= Primes[I];
+      for (size_t K = 0; K < Known; ++K)
+        Divs.push_back(Divs[K] * Pow);
+    }
+  }
+  std::sort(Divs.begin(), Divs.end());
+  return Divs;
 }
 
 static int64_t narrow(__int128 V) {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace biv {
 
@@ -106,6 +107,12 @@ private:
 
 /// Greatest common divisor of |A| and |B|; gcd(0, 0) == 0.
 int64_t gcd64(int64_t A, int64_t B);
+
+/// Every positive divisor of \p N (N >= 1), ascending.  The list comes from
+/// the prime factorisation (deterministic Miller-Rabin plus Pollard-Brent
+/// rho), so the cost follows the divisor count -- at most 103,680 below
+/// 2^64 -- rather than the size of N.
+std::vector<uint64_t> positiveDivisors(uint64_t N);
 
 } // namespace biv
 

@@ -13,6 +13,7 @@
 #include "TestUtil.h"
 #include "fuzz/Oracle.h"
 #include "ivclass/RecurrenceSolver.h"
+#include "support/Stats.h"
 #include <gtest/gtest.h>
 
 using namespace biv;
@@ -208,6 +209,64 @@ TEST(CFiniteSystemTest, OversizeSystemRejected) {
   ASSERT_EQ(Sol.size(), 5u);
   for (const auto &S : Sol)
     EXPECT_FALSE(S.has_value());
+}
+
+namespace {
+
+/// Solves the unforced 2x2 system \p M from X(0) = (1, 1) and expects the
+/// overflow outcome: both components unsolved, after exactly one counted
+/// and timed coupled solve.
+void expectOneOverflowingSolve(const RatMatrix &M) {
+  const stats::Counter Systems("ivclass.solver.system");
+  const stats::Counter Overflows("ivclass.solver.overflow");
+  const stats::Timer Solver("phase.solver");
+  const stats::Frame Before = stats::captureFrame();
+  auto Sol = solveLinearSystem(M, {ClosedForm(), ClosedForm()},
+                               {Affine(1), Affine(1)});
+  const stats::Frame D = stats::captureFrame() - Before;
+  ASSERT_EQ(Sol.size(), 2u);
+  EXPECT_FALSE(Sol[0].has_value());
+  EXPECT_FALSE(Sol[1].has_value());
+  EXPECT_EQ(D.Counters[Systems.index()], 1u);
+  EXPECT_EQ(D.Counters[Overflows.index()], 1u);
+  EXPECT_EQ(D.Timers[Solver.index()].Spans, 1u);
+}
+
+} // namespace
+
+TEST(CFiniteSystemTest, LargeConstantTermOverflowsInRootSearch) {
+  // u' = 1000000007u + v, v' = 998244353v + u: irrational eigenvalues, so
+  // the scan runs on until a candidate past ~4e9 overflows Horner.  Trial
+  // division to the square root of the constant term (~10^18) needed
+  // seconds to get there; the factorised divisor list must reach the same
+  // overflow.
+  RatMatrix M(2, 2);
+  M.at(0, 0) = Rational(1000000007);
+  M.at(0, 1) = Rational(1);
+  M.at(1, 0) = Rational(1);
+  M.at(1, 1) = Rational(998244353);
+  expectOneOverflowingSolve(M);
+}
+
+TEST(CFiniteSystemTest, MostDivisorsConstantTermOverflowsInIterates) {
+  // Eigenvalues 947341710 and 947506560, whose product 897612484786617600
+  // has 103,680 divisors: the roots deflate cleanly and the iterates
+  // overflow instead.
+  RatMatrix M(2, 2);
+  M.at(0, 0) = Rational(947341710);
+  M.at(0, 1) = Rational(1);
+  M.at(1, 1) = Rational(947506560);
+  expectOneOverflowingSolve(M);
+}
+
+TEST(CFiniteSystemTest, Int64MinConstantTermOverflowsFirst) {
+  // det [[0, 2^32], [2^31, 0]] = INT64_MIN would be the constant term, but
+  // Faddeev-LeVerrier's last product M*N = 2^63 * I overflows first, so the
+  // root search never has to negate INT64_MIN.
+  RatMatrix M(2, 2);
+  M.at(0, 1) = Rational(int64_t(1) << 32);
+  M.at(1, 0) = Rational(int64_t(1) << 31);
+  expectOneOverflowingSolve(M);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,8 +1,9 @@
 //===- tests/fuzz_test.cpp - Differential fuzzing smoke tests ----------------===//
 //
 // Tier-1 gate for the fuzzing subsystem: a bounded seeded campaign (500
-// programs) must come back with zero oracle mismatches, every check
-// category exercised, and byte-identical batch output across worker counts.
+// programs, once without and once with the summarizer) must come back with
+// zero oracle mismatches, every check category exercised, and byte-identical
+// batch output across worker counts.
 // The minimizer is demonstrated end to end through the test-only
 // fault-injection hook.
 //
@@ -252,11 +253,17 @@ TEST(FuzzMinimizerTest, CountStatements) {
 // Campaign smoke (the tier-1 acceptance gate)
 //===----------------------------------------------------------------------===//
 
-TEST(FuzzCampaignTest, Smoke500ProgramsCleanAndDeterministic) {
+namespace {
+
+/// Runs the 500-program seed-1 smoke campaign and checks that it comes back
+/// clean, with -j1 vs -j8 batch output over the whole fuzzed corpus
+/// byte-identical.
+FuzzResult runCleanSmoke(bool Summarize) {
   FuzzOptions FO;
   FO.Count = 500;
   FO.Seed = 1;
   FO.BatchJobs = 8;
+  FO.Oracle.Summarize = Summarize;
   FuzzResult R = runFuzz(FO);
 
   EXPECT_EQ(R.Programs, 500u);
@@ -265,10 +272,15 @@ TEST(FuzzCampaignTest, Smoke500ProgramsCleanAndDeterministic) {
       ADD_FAILURE() << "seed " << F.ProgramSeed << ": " << M.str() << "\n"
                     << F.Source;
   EXPECT_TRUE(R.Failures.empty());
-
-  // -j1 vs -j8 batch output over the whole fuzzed corpus is byte-identical.
   EXPECT_TRUE(R.BatchChecked);
   EXPECT_TRUE(R.BatchDeterministic);
+  return R;
+}
+
+} // namespace
+
+TEST(FuzzCampaignTest, Smoke500ProgramsCleanAndDeterministic) {
+  FuzzResult R = runCleanSmoke(/*Summarize=*/false);
 
   // Every oracle category fired: the grammar keeps reaching all claim
   // families.  (If a generator change trips one of these, the grammar lost
@@ -282,6 +294,14 @@ TEST(FuzzCampaignTest, Smoke500ProgramsCleanAndDeterministic) {
   EXPECT_GT(R.Checks.TripCount, 0u);
   EXPECT_GT(R.Checks.Behavior, 0u);
   EXPECT_GT(R.Checks.Baseline, 0u);
+}
+
+TEST(FuzzCampaignTest, Smoke500SummarizeProgramsCleanAndDeterministic) {
+  // The same campaign with the summarizer on, so the coupled-system solver
+  // and the phase-periodic oracle meet random programs in every tier-1 run.
+  FuzzResult R = runCleanSmoke(/*Summarize=*/true);
+  EXPECT_TRUE(R.CacheDeterministic);
+  EXPECT_GT(R.Checks.PhasePeriodic, 0u);
 }
 
 TEST(FuzzCampaignTest, InjectedFailureMinimizesToAtMostFiveStatements) {

@@ -120,12 +120,14 @@ private:
   std::string Src;
 };
 
-/// Seeds array A with mixed signs so conditional paths both execute.
+/// Seeds array A, when \p F declares one, with mixed signs so conditional
+/// paths both execute.
 std::map<std::string, std::map<std::vector<int64_t>, int64_t>>
-seedArrays(Lcg &R) {
+seedArrays(const ir::Function &F, Lcg &R) {
   std::map<std::string, std::map<std::vector<int64_t>, int64_t>> M;
-  for (int64_t I = -20; I <= 40; ++I)
-    M["A"][{I}] = R.range(-5, 8);
+  if (F.findArray("A"))
+    for (int64_t I = -20; I <= 40; ++I)
+      M["A"][{I}] = R.range(-5, 8);
   return M;
 }
 
@@ -143,7 +145,7 @@ TEST(PropertyTest, RandomProgramsSatisfyAllOracles) {
     auto FRef = frontend::parseAndLowerOrDie(Src);
     ssa::buildSSA(*FRef);
     Lcg SeedR(Seed * 77);
-    auto Arrays = seedArrays(SeedR);
+    auto Arrays = seedArrays(*FRef, SeedR);
     interp::ExecOptions ExecOpts;
     ExecOpts.MaxSteps = 4u << 20;
     interp::ExecutionTrace Ref =

@@ -1,10 +1,13 @@
 //===- tests/support_test.cpp - Rational/Affine/Matrix unit tests ------------===//
 
 #include "support/Affine.h"
+#include "support/Lcg.h"
 #include "support/Matrix.h"
 #include "support/Rational.h"
+#include <algorithm>
 #include <gtest/gtest.h>
 #include <limits>
+#include <vector>
 
 using namespace biv;
 
@@ -76,6 +79,66 @@ TEST(RationalTest, Gcd64) {
   EXPECT_EQ(gcd64(-12, 18), 6);
   EXPECT_EQ(gcd64(0, 5), 5);
   EXPECT_EQ(gcd64(0, 0), 0);
+}
+
+namespace {
+
+/// The definition positiveDivisors() replaces: trial division to sqrt(N).
+std::vector<uint64_t> divisorsByTrialDivision(uint64_t N) {
+  std::vector<uint64_t> Divs;
+  for (uint64_t D = 1; D * D <= N; ++D)
+    if (N % D == 0) {
+      Divs.push_back(D);
+      if (D != N / D)
+        Divs.push_back(N / D);
+    }
+  std::sort(Divs.begin(), Divs.end());
+  return Divs;
+}
+
+} // namespace
+
+TEST(DivisorTest, MatchesTrialDivision) {
+  for (uint64_t N = 1; N <= 100000; ++N)
+    ASSERT_EQ(positiveDivisors(N), divisorsByTrialDivision(N)) << "N = " << N;
+  Lcg R(36);
+  for (unsigned I = 0; I < 300; ++I) {
+    const uint64_t N = R.next() % (uint64_t(1) << 36) + 1;
+    ASSERT_EQ(positiveDivisors(N), divisorsByTrialDivision(N)) << "N = " << N;
+  }
+}
+
+TEST(DivisorTest, LargeSemiprimesSquaresAndPrimes) {
+  // The product of the diagonal of the coupled loop u' = 1000000007u + v,
+  // v' = 998244353v + u.
+  EXPECT_EQ(positiveDivisors(998244359987710471ull),
+            (std::vector<uint64_t>{1, 998244353, 1000000007,
+                                   998244359987710471ull}));
+  // (2^31 - 1)^2: a prime square, where rho must find the repeated factor.
+  EXPECT_EQ(positiveDivisors(4611686014132420609ull),
+            (std::vector<uint64_t>{1, 2147483647, 4611686014132420609ull}));
+  // The largest primes below 2^63 and 2^64.
+  EXPECT_EQ(positiveDivisors(9223372036854775783ull),
+            (std::vector<uint64_t>{1, 9223372036854775783ull}));
+  EXPECT_EQ(positiveDivisors(18446744073709551557ull),
+            (std::vector<uint64_t>{1, 18446744073709551557ull}));
+  // 2^63 and 2^64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417.
+  EXPECT_EQ(positiveDivisors(uint64_t(1) << 63).size(), 64u);
+  EXPECT_EQ(positiveDivisors(UINT64_MAX).size(), 128u);
+}
+
+TEST(DivisorTest, MostDivisorsBelow2To64) {
+  // 897612484786617600 = 2^8 3^4 5^2 7^2 11 13 17 19 23 29 31 37 has
+  // 103,680 divisors, the most of any 64-bit value.
+  const uint64_t N = 897612484786617600ull;
+  const std::vector<uint64_t> Divs = positiveDivisors(N);
+  ASSERT_EQ(Divs.size(), 103680u);
+  EXPECT_EQ(Divs.front(), 1u);
+  EXPECT_EQ(Divs.back(), N);
+  for (size_t I = 0; I < Divs.size(); ++I)
+    ASSERT_EQ(N % Divs[I], 0u) << Divs[I];
+  EXPECT_TRUE(std::is_sorted(Divs.begin(), Divs.end()));
+  EXPECT_EQ(std::adjacent_find(Divs.begin(), Divs.end()), Divs.end());
 }
 
 TEST(RationalTest, GcdReductionAfterEveryOp) {

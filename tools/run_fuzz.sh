@@ -2,11 +2,12 @@
 # Big-budget differential fuzzing under ASan/UBSan.
 #
 # Configures a separate sanitizer-instrumented build tree (so the tier-1
-# build stays fast), builds bivc, runs a 10k-program campaign, and then
-# cross-checks the observability layer: the merged `--batch` stats snapshot
-# must be byte-identical between -j1 and -j8 once the (legitimately
-# nondeterministic) span durations are normalized out.  Invoked by
-# `ctest -C fuzz -R fuzz_big` or directly:
+# build stays fast) with assertions on -- RelWithDebInfo's default flags
+# carry -DNDEBUG, so they are replaced -- builds bivc, runs a 10k-program
+# campaign, and then cross-checks the observability layer: the merged
+# `--batch` stats snapshot must be byte-identical between -j1 and -j8 once
+# the (legitimately nondeterministic) span durations are normalized out.
+# Invoked by `ctest -C fuzz -R fuzz_big` or directly:
 #
 #   tools/run_fuzz.sh [count] [seed]
 #
@@ -20,6 +21,7 @@ BUILD="$ROOT/build-fuzz-san"
 
 cmake -S "$ROOT" -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DBIV_SANITIZE="address;undefined" >/dev/null
 cmake --build "$BUILD" --target bivc -j "$(nproc)" >/dev/null
 
