@@ -10,8 +10,12 @@ using namespace biv::interp;
 const std::vector<int64_t> &
 ExecutionTrace::sequenceOf(const ir::Instruction *I) const {
   static const std::vector<int64_t> Empty;
-  auto It = History.find(I);
-  return It == History.end() ? Empty : It->second;
+  // Seqs are only unique within one function: without the owner check,
+  // another function's instruction would read whatever ran under its seq.
+  if (!I || !I->parent() || I->parent()->parent() != Fn ||
+      I->seq() >= History.size())
+    return Empty;
+  return History[I->seq()];
 }
 
 namespace {
@@ -34,6 +38,8 @@ private:
   struct Cell {
     int64_t V = 0;
     bool Poison = false;
+    /// Meaningful in Frame only: the defining instruction has executed.
+    bool Defined = false;
   };
 
   bool value(const ir::Value *V, Cell &Out) {
@@ -42,7 +48,12 @@ private:
       return true;
     }
     if (const auto *A = ir::dyn_cast<ir::Argument>(V)) {
-      assert(A->index() < Args.size() && "missing argument value");
+      // Checked in every build; an argument the run never reads may be
+      // left out.
+      if (A->index() >= Args.size()) {
+        fail("missing argument value");
+        return false;
+      }
       Out = {Args[A->index()], false};
       return true;
     }
@@ -50,12 +61,12 @@ private:
       Out = {0, true};
       return true;
     }
-    auto It = Env.find(V);
-    if (It == Env.end()) {
+    const Cell &C = Frame[ir::cast<ir::Instruction>(V)->seq()];
+    if (!C.Defined) {
       fail("read of value with no definition executed yet");
       return false;
     }
-    Out = It->second;
+    Out = C;
     return true;
   }
 
@@ -73,9 +84,10 @@ private:
   }
 
   void define(const ir::Instruction *I, Cell V) {
-    Env[I] = V;
+    V.Defined = true;
+    Frame[I->seq()] = V;
     if (Opts.TraceValues)
-      Trace.History[I].push_back(V.V);
+      Trace.History[I->seq()].push_back(V.V);
   }
 
   void fail(const std::string &Msg) {
@@ -86,11 +98,22 @@ private:
   const ir::Function &F;
   const std::vector<int64_t> &Args;
   const ExecOptions &Opts;
-  std::map<const ir::Value *, Cell> Env;
+  /// The value environment: one slot per Instruction::seq() of F, holding
+  /// the latest value the instruction produced.  Seqs are unique within F
+  /// and below instrSeqBound() from creation on, so instructions added
+  /// after the last renumbering (materialized exit values) have slots too.
+  std::vector<Cell> Frame;
+  /// Phase-1 phi values of the current block visit, reused across visits.
+  std::vector<std::pair<const ir::Instruction *, Cell>> PhiValues;
   ExecutionTrace Trace;
 };
 
 ExecutionTrace Machine::run() {
+  Frame.assign(F.instrSeqBound(), Cell());
+  Trace.Fn = &F;
+  if (Opts.TraceValues)
+    Trace.History.resize(F.instrSeqBound());
+
   const ir::BasicBlock *Block = F.entry();
   const ir::BasicBlock *PrevBlock = nullptr;
 
@@ -100,7 +123,7 @@ ExecutionTrace Machine::run() {
     // Phase 1: evaluate all phis against the incoming edge simultaneously,
     // so swap/rotation patterns (the paper's periodic variables) read the
     // previous iteration's values.
-    std::vector<std::pair<const ir::Instruction *, Cell>> PhiValues;
+    PhiValues.clear();
     for (const ir::Instruction *Phi : Block->phis()) {
       assert(PrevBlock && "phi in entry block");
       Cell V;
@@ -174,9 +197,14 @@ ExecutionTrace Machine::run() {
             fail("negative exponent");
             return std::move(Trace);
           }
-          uint64_t Acc = 1;
-          for (int64_t K = 0; K < R; ++K)
-            Acc *= uint64_t(L);
+          // Square-and-multiply: at most 63 squarings for any exponent,
+          // and the same result mod 2^64 as repeated multiplication.
+          uint64_t Acc = 1, Base = uint64_t(L);
+          for (uint64_t E = uint64_t(R); E; E >>= 1) {
+            if (E & 1)
+              Acc *= Base;
+            Base *= Base;
+          }
           Out = int64_t(Acc);
           break;
         }
@@ -293,11 +321,7 @@ const biv::stats::Counter NumSteps("interp.steps");
 ExecutionTrace biv::interp::run(const ir::Function &F,
                                 const std::vector<int64_t> &Args,
                                 const ExecOptions &Opts) {
-  stats::ScopedSpan Span(InterpPhase);
-  ExecutionTrace T = Machine(F, Args, Opts).run();
-  NumRuns.bump();
-  NumSteps.bump(T.Steps);
-  return T;
+  return runWithArrays(F, Args, {}, Opts);
 }
 
 ExecutionTrace biv::interp::runWithArrays(
@@ -308,7 +332,11 @@ ExecutionTrace biv::interp::runWithArrays(
   Machine M(F, Args, Opts);
   for (const auto &[Name, Cells] : Arrays) {
     const ir::Array *A = F.findArray(Name);
-    assert(A && "seeding unknown array");
+    if (!A) { // checked in every build: nothing runs
+      ExecutionTrace Rejected;
+      Rejected.Error = "seeding unknown array " + Name;
+      return Rejected;
+    }
     for (const auto &[Idx, V] : Cells)
       M.Memory[A][Idx] = V;
   }

@@ -63,10 +63,14 @@ struct ArrayAccess {
 
 /// Everything observed while running a function.
 struct ExecutionTrace {
-  /// Values each instruction produced, in execution order.  A loop-header
-  /// phi therefore has one entry per header visit: its value on iteration
+  /// The function that ran (null when the inputs were rejected).
+  const ir::Function *Fn = nullptr;
+
+  /// Values each instruction produced, in execution order, indexed by
+  /// Instruction::seq() (read it through sequenceOf).  A loop-header phi
+  /// therefore has one entry per header visit: its value on iteration
   /// h = 0, 1, ... (the last visit is the one that exits).
-  std::map<const ir::Instruction *, std::vector<int64_t>> History;
+  std::vector<std::vector<int64_t>> History;
 
   /// Array access log in execution order.
   std::vector<ArrayAccess> Accesses;
@@ -83,17 +87,21 @@ struct ExecutionTrace {
 
   bool ok() const { return Error.empty() && !HitStepLimit; }
 
-  /// The observed sequence of \p I 's values; empty when never executed.
+  /// The observed sequence of \p I 's values; empty when never executed
+  /// or when \p I belongs to another function than Fn.
   const std::vector<int64_t> &sequenceOf(const ir::Instruction *I) const;
 };
 
 /// Runs SSA-form \p F with the given argument values.  Array cells default
-/// to zero and live for the duration of the call.
+/// to zero and live for the duration of the call.  \p Args may leave out
+/// arguments the run never reads; reading one stops execution with a
+/// "missing argument value" error.
 ExecutionTrace run(const ir::Function &F, const std::vector<int64_t> &Args,
                    const ExecOptions &Opts = ExecOptions());
 
 /// Convenience: pre-seeds array contents before running.  Keys are indices
-/// (one vector per cell).
+/// (one vector per cell); a name \p F does not declare is rejected before
+/// the first step ("seeding unknown array NAME").
 ExecutionTrace
 runWithArrays(const ir::Function &F, const std::vector<int64_t> &Args,
               const std::map<std::string,

@@ -29,29 +29,32 @@ struct LatticeVal {
   }
 };
 
-/// Folds \p Op over constants; nullopt when the result is not representable
-/// (division by zero, huge exponent) and must go to Bottom.
+/// Folds \p Op over constants with the interpreter's two's-complement
+/// semantics (Add/Sub/Mul wrap, INT64_MIN / -1 is INT64_MIN); nullopt when
+/// the result must go to Bottom (division by zero, huge exponent).
 std::optional<int64_t> foldBinary(ir::Opcode Op, int64_t L, int64_t R) {
   switch (Op) {
   case ir::Opcode::Add:
-    return L + R;
+    return int64_t(uint64_t(L) + uint64_t(R));
   case ir::Opcode::Sub:
-    return L - R;
+    return int64_t(uint64_t(L) - uint64_t(R));
   case ir::Opcode::Mul:
-    return L * R;
+    return int64_t(uint64_t(L) * uint64_t(R));
   case ir::Opcode::Div:
     if (R == 0)
       return std::nullopt;
-    return L / R;
+    return (L == INT64_MIN && R == -1) ? INT64_MIN : L / R;
   case ir::Opcode::Exp: {
     if (R < 0 || R > 62)
       return std::nullopt;
+    const uint64_t Mag = L < 0 ? 0 - uint64_t(L) : uint64_t(L);
+    const int64_t Limit = int64_t((uint64_t(1) << 62) / (Mag == 0 ? 1 : Mag));
     int64_t Result = 1;
     for (int64_t I = 0; I < R; ++I) {
       // Crude overflow guard; Bottom is always safe.
-      if (Result > (int64_t(1) << 62) / (L == 0 ? 1 : (L < 0 ? -L : L)))
+      if (Result > Limit)
         return std::nullopt;
-      Result *= L;
+      Result = int64_t(uint64_t(Result) * uint64_t(L));
     }
     return Result;
   }
@@ -177,7 +180,7 @@ void SCCPSolver::visit(ir::Instruction *I) {
   case ir::Opcode::Neg: {
     LatticeVal V = valueOf(I->operand(0));
     if (V.isConst())
-      setValue(I, LatticeVal::constant(-V.Val));
+      setValue(I, LatticeVal::constant(int64_t(0 - uint64_t(V.Val))));
     else
       setValue(I, V);
     return;

@@ -297,6 +297,13 @@ TEST(InterpEdgeTest, ExponentOverflowWraps) {
   EXPECT_EQ(run(*F, {2, 64}).ReturnValue, 0);
   // In-range powers still exact.
   EXPECT_EQ(run(*F, {3, 5}).ReturnValue, 243);
+  // Huge exponents finish at once (square-and-multiply) and follow from
+  // arithmetic mod 2^64: odd units have order dividing 2^62, and
+  // 3^(2^61) = 1 + 2^63.
+  EXPECT_EQ(run(*F, {2, INT64_MAX}).ReturnValue, 0);
+  EXPECT_EQ(run(*F, {3, int64_t(1) << 62}).ReturnValue, 1);
+  EXPECT_EQ(run(*F, {3, int64_t(1) << 61}).ReturnValue, INT64_MIN + 1);
+  EXPECT_EQ(run(*F, {-1, INT64_MAX}).ReturnValue, -1);
 }
 
 TEST(InterpEdgeTest, OverflowWrapInsideLoop) {
@@ -313,4 +320,87 @@ TEST(InterpEdgeTest, OverflowWrapInsideLoop) {
   for (int K = 0; K < 70; ++K)
     G = int64_t(uint64_t(G) * 2 + 1);
   EXPECT_EQ(T.ReturnValue, G);
+}
+
+//===----------------------------------------------------------------------===//
+// Input checks that hold in every build (NDEBUG included).
+//===----------------------------------------------------------------------===//
+
+TEST(InterpEdgeTest, MissingArgumentValueFails) {
+  auto F = build("func f(a, b) { return a + b; }");
+  ExecutionTrace T = run(*F, {1});
+  EXPECT_FALSE(T.ok());
+  EXPECT_EQ(T.Error, "missing argument value");
+  EXPECT_FALSE(T.ReturnValue.has_value());
+  // An argument the run never reads may be left out.
+  auto G = build("func f(a, b) { return a; }");
+  EXPECT_EQ(run(*G, {7}).ReturnValue, 7);
+}
+
+TEST(InterpEdgeTest, SeedingUnknownArrayFails) {
+  auto F = build("func f() { return A[5]; }");
+  ExecutionTrace T = runWithArrays(*F, {}, {{"B", {{{5}, 99}}}});
+  EXPECT_FALSE(T.ok());
+  EXPECT_EQ(T.Error, "seeding unknown array B");
+  EXPECT_EQ(T.Steps, 0u);
+  EXPECT_FALSE(T.ReturnValue.has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// The value frame and trace are tables indexed by Instruction::seq().
+//===----------------------------------------------------------------------===//
+
+TEST(InterpFrameTest, InstructionAddedAfterRenumberingRuns) {
+  // Materialized exit values are created after the last renumbering and
+  // take a fresh seq past the dense range; they must run and be traced.
+  auto F = build("func f(a) { x = a + 1; return x; }");
+  const unsigned Bound = F->renumberInstructions();
+  ir::Instruction *Ret = F->entry()->terminator();
+  ASSERT_EQ(Ret->opcode(), ir::Opcode::Ret);
+  ir::Instruction *Late = F->entry()->insertBeforeTerminator(
+      F->newInstr(ir::Opcode::Mul, {Ret->operand(0), F->constant(10)}));
+  Ret->setOperand(0, Late);
+  EXPECT_EQ(Late->seq(), Bound);
+  ExecutionTrace T = run(*F, {4});
+  ASSERT_TRUE(T.ok()) << T.Error;
+  EXPECT_EQ(T.ReturnValue, 50);
+  EXPECT_EQ(T.sequenceOf(Late), std::vector<int64_t>{50});
+}
+
+TEST(InterpFrameTest, SequenceOfForeignInstructionIsEmpty) {
+  // Two copies of one program number their instructions alike, so a
+  // seq-indexed lookup alone would hand back the other copy's values.
+  const char *Src = "func f(n) {"
+                    "  s = 0;"
+                    "  for L: i = 1 to n { s = s + i; }"
+                    "  return s;"
+                    "}";
+  ssa::SSAInfo InfoA, InfoB;
+  auto FA = makeSSA(Src, &InfoA);
+  auto FB = makeSSA(Src, &InfoB);
+  analysis::DominatorTree DTA(*FA), DTB(*FB);
+  analysis::LoopInfo LIA(*FA, DTA), LIB(*FB, DTB);
+  ir::Instruction *SA = InfoA.phiFor(LIA.byName("L")->header(), "s");
+  ir::Instruction *SB = InfoB.phiFor(LIB.byName("L")->header(), "s");
+  ASSERT_NE(SA, nullptr);
+  ASSERT_NE(SB, nullptr);
+  ASSERT_EQ(SA->seq(), SB->seq());
+  ExecutionTrace T = run(*FA, {3});
+  ASSERT_TRUE(T.ok()) << T.Error;
+  EXPECT_EQ(T.sequenceOf(SA), (std::vector<int64_t>{0, 1, 3, 6}));
+  EXPECT_TRUE(T.sequenceOf(SB).empty());
+}
+
+TEST(InterpFrameTest, ReadBeforeDefinitionFails) {
+  // Make x read y, which is defined after it in the same block.
+  auto F = build("func f(a) { x = a + 1; y = x * 2; return y; }");
+  ir::Instruction *Ret = F->entry()->terminator();
+  ASSERT_EQ(Ret->opcode(), ir::Opcode::Ret);
+  auto *Y = ir::cast<ir::Instruction>(Ret->operand(0));
+  auto *X = ir::cast<ir::Instruction>(Y->operand(0));
+  X->setOperand(0, Y);
+  ExecutionTrace T = run(*F, {1});
+  EXPECT_FALSE(T.ok());
+  EXPECT_EQ(T.Error, "read of value with no definition executed yet");
+  EXPECT_TRUE(T.sequenceOf(X).empty());
 }

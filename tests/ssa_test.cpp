@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 #include "ssa/DeadCode.h"
+#include <optional>
 
 using namespace biv;
 using namespace biv::testutil;
@@ -16,6 +17,27 @@ std::unique_ptr<ir::Function> buildSSAOf(const std::string &Src,
   if (Info)
     *Info = std::move(I);
   return F;
+}
+
+/// The constant SCCP folds \p Src 's return operand to; nullopt when the
+/// return value stays unfolded.
+std::optional<int64_t> foldedReturn(const std::string &Src) {
+  auto F = buildSSAOf(Src);
+  ssa::runSCCP(*F);
+  for (const auto &BB : F->blocks())
+    for (const auto &I : *BB)
+      if (I->opcode() == ir::Opcode::Ret)
+        if (const auto *C = ir::dyn_cast<ir::Constant>(I->operand(0)))
+          return C->value();
+  return std::nullopt;
+}
+
+/// What the interpreter returns for \p Src without folding.
+std::optional<int64_t> interpretedReturn(const std::string &Src) {
+  auto F = buildSSAOf(Src);
+  interp::ExecutionTrace T = interp::run(*F, {});
+  EXPECT_TRUE(T.ok()) << T.Error;
+  return T.ReturnValue;
 }
 
 unsigned countPhis(const ir::Function &F) {
@@ -199,6 +221,40 @@ TEST(SCCPTest, ExpFolding) {
   const auto *C = ir::dyn_cast<ir::Constant>(Ret->operand(0));
   ASSERT_NE(C, nullptr);
   EXPECT_EQ(C->value(), 1024);
+}
+
+TEST(SCCPTest, FoldsMinByMinusOneLikeTheInterpreter) {
+  // The lone overflowing quotient folds to INT64_MIN (the interpreter's
+  // pinned value) instead of trapping the host.
+  const std::string Src =
+      "func f() { c = (0 - 9223372036854775807 - 1) / (0 - 1); return c; }";
+  EXPECT_EQ(foldedReturn(Src), INT64_MIN);
+  EXPECT_EQ(interpretedReturn(Src), INT64_MIN);
+}
+
+TEST(SCCPTest, FoldsWrappingArithmeticLikeTheInterpreter) {
+  // Add, Sub, Mul and Neg fold with two's-complement wrap.
+  const char *Min = "(0 - 9223372036854775807 - 1)";
+  const std::vector<std::pair<std::string, int64_t>> Cases = {
+      {"9223372036854775807 + 1", INT64_MIN},
+      {std::string(Min) + " - 1", INT64_MAX},
+      {"9223372036854775807 * 2", -2},
+      {std::string("-") + Min, INT64_MIN},
+  };
+  for (const auto &[Expr, Want] : Cases) {
+    const std::string Src = "func f() { return " + Expr + "; }";
+    EXPECT_EQ(foldedReturn(Src), Want) << Expr;
+    EXPECT_EQ(interpretedReturn(Src), Want) << Expr;
+  }
+}
+
+TEST(SCCPTest, ExpOfMinimumBaseStaysUnfolded) {
+  // The overflow guard takes |INT64_MIN| unsigned; any power past the
+  // zeroth may overflow, so it goes to Bottom as before.
+  const std::string Min = "(0 - 9223372036854775807 - 1)";
+  EXPECT_EQ(foldedReturn("func f() { return " + Min + " ^ 2; }"),
+            std::nullopt);
+  EXPECT_EQ(foldedReturn("func f() { return " + Min + " ^ 0; }"), 1);
 }
 
 //===----------------------------------------------------------------------===//

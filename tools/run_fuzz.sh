@@ -71,6 +71,15 @@ cmake --build "$BUILD" --target arena_test -j "$(nproc)" >/dev/null
 "$BUILD/tests/arena_test"
 echo "fuzz: arena/interner unit tests clean under ASan/UBSan"
 
+# Interpreter and SCCP: the oracle's pinned arithmetic, its seq-indexed
+# value frame, and the constant folder that must agree with it run in the
+# instrumented tree, so signed-overflow UB or an out-of-range frame slot
+# dies here.
+cmake --build "$BUILD" --target interp_test ssa_test -j "$(nproc)" >/dev/null
+"$BUILD/tests/interp_test" >/dev/null
+"$BUILD/tests/ssa_test" >/dev/null
+echo "fuzz: interpreter and SSA/SCCP suites clean under ASan/UBSan"
+
 # C-finite slice: the extension's focused suites (`ctest -L cfinite` in
 # tier-1) run in the instrumented tree, and a dedicated campaign slice must
 # report nonzero cfinite and partial oracle checks -- generator drift that
