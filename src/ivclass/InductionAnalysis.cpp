@@ -1202,6 +1202,7 @@ void InductionAnalysis::run() {
   stats::ScopedSpan Span(ClassifyPhase);
   for (const analysis::Loop *L : LI.innerToOuter())
     processLoop(L);
+  ProbeTraces.clear();
 }
 
 void InductionAnalysis::processLoop(const analysis::Loop *L) {
@@ -1211,7 +1212,7 @@ void InductionAnalysis::processLoop(const analysis::Loop *L) {
   // (it consumes sibling classifications) and before the trip count (which
   // consumes the upgraded forms).
   if (Opts.Summarize)
-    summarizeLoop(*this, L, tableFor(L));
+    summarizeLoop(*this, L, tableFor(L), ProbeTraces);
 
   TripCountInfo TC = computeTripCount(
       *L, [&](const ir::Value *V) -> Classification {
@@ -1452,6 +1453,7 @@ void InductionAnalysis::materializeExitValues(const analysis::Loop *L,
       continue;
     for (const Use &U : Uses)
       U.User->setOperand(U.Index, Mat);
+    ProbeTraces.clear(); // the function changed: later loops sample again
     ++S.ExitValuesMaterialized;
     static const stats::Counter NumExitValues("ivclass.exit_values_materialized");
     NumExitValues.bump();

@@ -64,6 +64,10 @@ private:
   std::vector<std::pair<const ir::Value *, const Classification *>> Entries;
 };
 
+/// Block-visit sequences of the summarizer's probe runs over one function,
+/// one per seed (Summarize.h); empty until some loop samples.
+using SampleTraces = std::vector<std::vector<const ir::BasicBlock *>>;
+
 /// Runs the paper's algorithm over a function and answers classification
 /// queries per (value, loop) pair.
 class InductionAnalysis {
@@ -166,6 +170,11 @@ private:
   ClassTable NullLoopClasses;
   std::vector<std::optional<TripCountInfo>> TripCounts;
   unsigned NextFamilyId = 1;
+
+  /// The probe traces of this run(), sampled by its first summarized loop.
+  /// They describe the function as sampled, so an exit value that rewrites
+  /// a use drops them, and so does the end of run().
+  SampleTraces ProbeTraces;
 };
 
 } // namespace ivclass

@@ -26,6 +26,8 @@ const stats::Counter NumFailEmpty("ivclass.summarize.fail.empty");
 const stats::Counter NumFailSolve("ivclass.summarize.fail.solve");
 const stats::Counter NumFailBranch("ivclass.summarize.fail.branch");
 const stats::Timer SummarizePhase("phase.summarize");
+const stats::Timer SamplePhase("phase.summarize.sample");
+const stats::Timer ProvePhase("phase.summarize.prove");
 
 /// Seed values fed to the probe runs; every function argument receives the
 /// same seed within one run (SummarizeSampleCount runs total).
@@ -48,8 +50,9 @@ struct VecForm {
 
 class Summarizer {
 public:
-  Summarizer(InductionAnalysis &IA, const analysis::Loop *L, ClassTable &Map)
-      : IA(IA), L(L), Map(Map), Header(L->header()) {}
+  Summarizer(InductionAnalysis &IA, const analysis::Loop *L, ClassTable &Map,
+             SampleTraces &Traces)
+      : IA(IA), L(L), Map(Map), Traces(Traces), Header(L->header()) {}
 
   void run() {
     // Single-latch loops only: multiple latches break the one-init-one-
@@ -65,41 +68,7 @@ public:
     if (!conjecture())
       return;
     NumConjectured.bump();
-    // A path cycle of length k is also a path cycle of any multiple, and
-    // several recurrence shapes only become solvable at the right multiple:
-    // periodic-family forcings (s = s + a with a in a period-q ring) resolve
-    // to per-phase constants once q divides the cycle, and a ring crossing a
-    // subloop reaches the outer cycle as a permutation of the unknowns whose
-    // matrix has complex eigenvalues until some power composes back to the
-    // identity (p0->p1->p2 over 3 cycles).  Sweep every multiple of the
-    // observed period and keep whichever attempt rescues the most phis
-    // (ties to the shortest cycle for the cheaper report).
-    bool Overflowed = false;
-    auto attempt = [&](unsigned Cand) {
-      try {
-        return tryProve(Cand);
-      } catch (const RationalOverflow &) {
-        Overflowed = true; // degrade this attempt only
-        return false;
-      }
-    };
-    bool Proved = false;
-    Attempt Best;
-    unsigned BestCount = 0;
-    for (unsigned Cand = BaseK; Cand <= SummarizeMaxPeriod; Cand += BaseK) {
-      if (!attempt(Cand))
-        continue;
-      if (const unsigned C = count(Result.InS); !Proved || C > BestCount) {
-        Best = Result; // tryProve overwrites Result
-        BestCount = C;
-        Proved = true;
-      }
-      if (BestCount == Unknowns.size())
-        break; // nothing left for a longer cycle to rescue
-    }
-    if (Proved)
-      Result = Best;
-    if (!Proved) {
+    if (!prove()) {
       (Overflowed ? NumOverflow : NumDisproved).bump();
       if (!Overflowed && FailWhy)
         FailWhy->bump();
@@ -126,6 +95,39 @@ private:
     bool operator!=(const Step &O) const { return !(*this == O); }
   };
   using Path = std::vector<Step>;
+
+  struct Obligation {
+    ir::Opcode Cmp = ir::Opcode::CmpNE;
+    /// Condition operands as phase forms; nullopt when the condition is not
+    /// symbolically evaluable (a load, a division) -- such a branch can
+    /// still be *irrelevant*: provably the same transfer either way.
+    std::optional<VecForm> LHS, RHS;
+    bool TakenTrue = false;
+    size_t BlockIdx = 0; ///< Position of the branching block in its path.
+    /// The successor the sample actually took (for a branch into a subloop
+    /// this is the inner side, not the next direct block).
+    const ir::BasicBlock *Taken = nullptr;
+  };
+
+  /// The symbolic evaluation of one cycle's phase paths: each in-loop
+  /// branch's obligation and each unknown's transfer, phase by phase, or
+  /// how the evaluation failed.
+  struct CycleEval {
+    unsigned K = 0; ///< Phases evaluated; attempt phase p reads p mod K.
+    /// Why the paths cannot be evaluated (a fail.* counter), or null.
+    const stats::Counter *Fail = nullptr;
+    bool Overflowed = false;   ///< Evaluation threw RationalOverflow.
+    bool UnpinnedRing = false; ///< Read a ring slot this K does not pin.
+    /// Obligations[p]: phase p's in-loop branches, in path order.
+    std::vector<std::vector<Obligation>> Obligations;
+    /// Row[i][p]: transfer of X_i on phase p; nullopt when not linear.
+    std::vector<std::vector<std::optional<VecForm>>> Row;
+    /// Per unknown: a transfer on every phase (Complete), the unknowns
+    /// those transfers reference (Reads), and the unknowns whose transfers
+    /// reference it (ReadBy).
+    std::vector<bool> Complete;
+    std::vector<std::vector<unsigned>> Reads, ReadBy;
+  };
 
   //===------------------------------------------------------------------===//
   // Eligibility
@@ -221,20 +223,26 @@ private:
   }
 
   bool conjecture() {
-    std::vector<std::vector<Path>> Acts;
-    const ir::Function &F = IA.function();
-    for (int64_t Seed : SampleSeeds) {
-      interp::ExecOptions EO;
-      EO.MaxSteps = SummarizeSampleSteps;
-      EO.TraceValues = false;
-      EO.TraceArrays = false;
-      EO.TraceBlocks = true;
-      std::vector<int64_t> Args(F.arguments().size(), Seed);
-      interp::ExecutionTrace T = interp::run(F, Args, EO);
-      // Errored or budget-truncated runs still contribute the iterations
-      // they completed (the partial tail was dropped above).
-      collectActivations(T.Blocks, Acts);
+    stats::ScopedSpan Span(SamplePhase);
+    if (Traces.empty()) {
+      // The runs sample the whole function, so every loop of the analysis
+      // run slices the same traces until the IR changes under them.
+      const ir::Function &F = IA.function();
+      for (int64_t Seed : SampleSeeds) {
+        interp::ExecOptions EO;
+        EO.MaxSteps = SummarizeSampleSteps;
+        EO.TraceValues = false;
+        EO.TraceArrays = false;
+        EO.TraceBlocks = true;
+        std::vector<int64_t> Args(F.arguments().size(), Seed);
+        Traces.push_back(std::move(interp::run(F, Args, EO).Blocks));
+      }
     }
+    std::vector<std::vector<Path>> Acts;
+    // Errored or budget-truncated runs still contribute the iterations they
+    // completed (the partial tail was dropped above).
+    for (const std::vector<const ir::BasicBlock *> &Blocks : Traces)
+      collectActivations(Blocks, Acts);
 
     size_t Total = 0, Longest = 0;
     for (const auto &A : Acts) {
@@ -267,36 +275,70 @@ private:
     return false;
   }
 
-  static unsigned gcd(unsigned A, unsigned B) {
-    while (B) {
-      unsigned T = A % B;
-      A = B;
-      B = T;
+  /// The attempt sweep.  A path cycle of length k is also a path cycle of
+  /// any multiple, and several recurrence shapes only become solvable at
+  /// the right multiple: periodic-family forcings (s = s + a with a in a
+  /// period-q ring) resolve to per-phase constants once q divides the
+  /// cycle, and a ring crossing a subloop reaches the outer cycle as a
+  /// permutation of the unknowns whose matrix has complex eigenvalues until
+  /// some power composes back to the identity (p0->p1->p2 over 3 cycles).
+  /// Sweep every multiple of the observed period and keep whichever attempt
+  /// rescues the most phis (ties to the shortest cycle for the cheaper
+  /// report).
+  bool prove() {
+    stats::ScopedSpan Span(ProvePhase);
+    auto attempt = [&](unsigned Cand) {
+      try {
+        return tryProve(Cand);
+      } catch (const RationalOverflow &) {
+        Overflowed = true; // degrade this attempt only
+        return false;
+      }
+    };
+    bool Proved = false;
+    Attempt Best;
+    unsigned BestCount = 0;
+    for (unsigned Cand = BaseK; Cand <= SummarizeMaxPeriod; Cand += BaseK) {
+      if (!attempt(Cand))
+        continue;
+      if (const unsigned C = count(Result.InS); !Proved || C > BestCount) {
+        Best = Result; // tryProve overwrites Result
+        BestCount = C;
+        Proved = true;
+      }
+      if (BestCount == Unknowns.size())
+        break; // nothing left for a longer cycle to rescue
     }
-    return A;
+    if (Proved)
+      Result = Best;
+    return Proved;
   }
-  static unsigned lcm(unsigned A, unsigned B) { return A / gcd(A, B) * B; }
 
   /// One proof attempt at period \p Cand (a multiple of the observed path
-  /// period): resets the per-phase state, re-derives the obligations and
-  /// transfer matrices, then iterates subset selection and branch-relevance
-  /// analysis until a provable subset of the unknowns survives (or none
-  /// does).  On success Result holds the subset and its solved phase forms.
+  /// period): takes the phase transfers and obligations of the evaluation
+  /// in force, then iterates subset selection and branch-relevance analysis
+  /// until a provable subset of the unknowns survives (or none does).  On
+  /// success Result holds the subset and its solved phase forms.
   bool tryProve(unsigned Cand) {
     K = Cand;
-    CyclePaths.clear();
-    for (unsigned P = 0; P < K; ++P)
-      CyclePaths.push_back(BasePaths[P % BaseK]);
-    Phases.clear();
-    Obligations.clear();
     Result = Attempt();
     Result.K = K;
-    if (!preparePhases()) {
-      FailWhy = &NumFailPrep;
+    // Phase p of this cycle follows base path p mod BaseK, so the base
+    // evaluation answers for every multiple, phase p read as p mod BaseK --
+    // unless it met a ring slot that only a multiple pins (headerPhiValue):
+    // then each attempt evaluates its own K phases.
+    if (K == BaseK) {
+      Ev = evaluate();
+      EvaluateEachK = Ev.UnpinnedRing;
+    } else if (EvaluateEachK) {
+      Ev = evaluate();
+    }
+    if (Ev.Overflowed) {
+      Overflowed = true;
       return false;
     }
-    if (!collectObligations()) {
-      FailWhy = &NumFailOblig;
+    if (Ev.Fail) {
+      FailWhy = Ev.Fail;
       return false;
     }
     return proveSubset();
@@ -311,12 +353,37 @@ private:
     /// the path membership set.
     std::unordered_map<const ir::BasicBlock *, const ir::BasicBlock *> PredOf;
     std::unordered_map<const ir::Instruction *, std::optional<VecForm>> Memo;
+    /// Set when a ring slot read here is not pinned at this K.
+    bool UnpinnedRing = false;
   };
 
-  bool preparePhases() {
-    Phases.assign(K, PhaseCtx());
+  /// Evaluates the current attempt's K phase paths: every obligation, then
+  /// every transfer, then the read lists close() walks.  A failure or a
+  /// RationalOverflow is recorded, not returned.
+  CycleEval evaluate() {
+    CycleEval E;
+    E.K = K;
+    std::vector<PhaseCtx> Phases(K);
+    try {
+      if (!preparePhases(Phases))
+        E.Fail = &NumFailPrep;
+      else if (!collectObligations(Phases, E))
+        E.Fail = &NumFailOblig;
+      else
+        evalTransfers(Phases, E);
+    } catch (const RationalOverflow &) {
+      E.Overflowed = true;
+    }
+    for (const PhaseCtx &Ctx : Phases)
+      E.UnpinnedRing = E.UnpinnedRing || Ctx.UnpinnedRing;
+    if (!E.Fail && !E.Overflowed)
+      indexReads(E);
+    return E;
+  }
+
+  bool preparePhases(std::vector<PhaseCtx> &Phases) const {
     for (unsigned P = 0; P < K; ++P) {
-      const Path &PB = CyclePaths[P];
+      const Path &PB = BasePaths[P % BaseK];
       if (PB.empty() || PB.front().B != Header)
         return false;
       for (const Step &S : PB) {
@@ -341,13 +408,17 @@ private:
   }
 
   /// Value of classified header phi \p Phi on iterations h === P (mod K).
+  /// The one value that depends on K rather than on the path alone.
   std::optional<VecForm> headerPhiValue(const ir::Instruction *Phi,
-                                        unsigned P) {
+                                        PhaseCtx &Ctx, unsigned P) {
     const Classification &C = classOf(Phi);
     if (C.hasClosedForm())
       return invariant(C.Form);
-    if (C.isPeriodic() && C.Period >= 2 && K % C.Period == 0 &&
-        C.RingInits.size() == C.Period) {
+    if (C.isPeriodic() && C.Period >= 2 && C.RingInits.size() == C.Period) {
+      if (K % C.Period != 0) {
+        Ctx.UnpinnedRing = true; // a multiple of K may pin it
+        return std::nullopt;
+      }
       // The family period divides the cycle, so the ring slot is pinned:
       // value = PScale * ring[(Phase + P) mod Period] + POffset.
       Affine V =
@@ -372,7 +443,7 @@ private:
       return VF;
     }
     if (I->isPhi() && I->parent() == Header)
-      return headerPhiValue(I, P);
+      return headerPhiValue(I, Ctx, P);
     if (!L->contains(I->parent()))
       return invariant(ClosedForm::constant(Affine::symbol(I)));
     if (!Ctx.PredOf.count(I->parent())) {
@@ -579,20 +650,6 @@ private:
   // Proof obligations
   //===------------------------------------------------------------------===//
 
-  struct Obligation {
-    ir::Opcode Cmp = ir::Opcode::CmpNE;
-    /// Condition operands as phase forms; nullopt when the condition is not
-    /// symbolically evaluable (a load, a division) -- such a branch can
-    /// still be *irrelevant*: provably the same transfer either way.
-    std::optional<VecForm> LHS, RHS;
-    bool TakenTrue = false;
-    unsigned Phase = 0;
-    size_t BlockIdx = 0; ///< Position of the branching block in its path.
-    /// The successor the sample actually took (for a branch into a subloop
-    /// this is the inner side, not the next direct block).
-    const ir::BasicBlock *Taken = nullptr;
-  };
-
   static ir::Value *chaseCopies(ir::Value *V) {
     while (auto *I = ir::dyn_cast<ir::Instruction>(V)) {
       if (I->opcode() != ir::Opcode::Copy)
@@ -602,10 +659,11 @@ private:
     return V;
   }
 
-  bool collectObligations() {
+  bool collectObligations(std::vector<PhaseCtx> &Phases, CycleEval &E) {
     const analysis::LoopInfo &LI = IA.loopInfo();
+    E.Obligations.resize(K);
     for (unsigned P = 0; P < K; ++P) {
-      const Path &PB = CyclePaths[P];
+      const Path &PB = BasePaths[P % BaseK];
       for (size_t J = 0; J < PB.size(); ++J) {
         const ir::BasicBlock *Target =
             J + 1 < PB.size() ? PB[J + 1].B : Header;
@@ -644,7 +702,6 @@ private:
           O.Taken = Target;
         }
         O.TakenTrue = O.Taken == S0;
-        O.Phase = P;
         O.BlockIdx = J;
         ir::Value *Cond = chaseCopies(T->operand(0));
         const auto *CI = ir::dyn_cast<ir::Instruction>(Cond);
@@ -660,7 +717,7 @@ private:
         }
         if (!O.LHS || !O.RHS)
           O.LHS = O.RHS = std::nullopt; // unevaluable, not unprovable-yet
-        Obligations.push_back(std::move(O));
+        E.Obligations[P].push_back(std::move(O));
       }
     }
     return true;
@@ -672,46 +729,74 @@ private:
 
   /// Transfers of every unknown on every phase: Row[i][p] is nullopt when
   /// unknown i's carried value is not linear over X on phase p's path.
-  void evalTransfers() {
+  void evalTransfers(std::vector<PhaseCtx> &Phases, CycleEval &E) {
     const unsigned N = unsigned(Unknowns.size());
-    Row.assign(N, std::vector<std::optional<VecForm>>(K));
+    E.Row.assign(N, std::vector<std::optional<VecForm>>(K));
     for (unsigned P = 0; P < K; ++P)
       for (unsigned I = 0; I < N; ++I) {
         ir::Value *Init = nullptr, *Carried = nullptr;
         splitPhi(Unknowns[I], Init, Carried);
-        Row[I][P] = evalValue(Carried, Phases[P], P);
+        E.Row[I][P] = evalValue(Carried, Phases[P], P);
       }
+  }
+
+  /// Fills the dependency lists close() walks: an unknown is Complete when
+  /// it has a transfer on every phase, Reads lists the unknowns those
+  /// transfers reference, and ReadBy inverts Reads.
+  void indexReads(CycleEval &E) const {
+    const unsigned N = unsigned(Unknowns.size());
+    E.Complete.assign(N, true);
+    E.Reads.assign(N, {});
+    E.ReadBy.assign(N, {});
+    std::vector<unsigned> Seen(N, ~0u); // Seen[j] == i: j already in Reads[i]
+    for (unsigned I = 0; I < N; ++I)
+      for (unsigned P = 0; P < E.K; ++P) {
+        if (!E.Row[I][P]) {
+          E.Complete[I] = false;
+          break;
+        }
+        for (unsigned J = 0; J < N; ++J)
+          if (!E.Row[I][P]->A[J].isZero() && Seen[J] != I) {
+            Seen[J] = I;
+            E.Reads[I].push_back(J);
+            E.ReadBy[J].push_back(I);
+          }
+      }
+  }
+
+  /// Transfer of unknown \p I on phase \p P of the current attempt.
+  const std::optional<VecForm> &row(unsigned I, unsigned P) const {
+    return Ev.Row[I][P % Ev.K];
   }
 
   /// Shrinks \p S to its largest closed subset: every member has a transfer
   /// on every phase, and those transfers reference only members.  A phi
   /// coupled to a nonlinear one (ps += f(px) with px' = px*px) drops out
-  /// here instead of sinking the whole loop.
+  /// here instead of sinking the whole loop.  Dropping a member can only
+  /// break the members that read it, so a worklist over ReadBy reaches the
+  /// greatest fixpoint without rescanning the rows.
   void close(std::vector<bool> &S) const {
     const unsigned N = unsigned(Unknowns.size());
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (unsigned I = 0; I < N; ++I) {
-        if (!S[I])
-          continue;
-        bool OK = true;
-        for (unsigned P = 0; P < K && OK; ++P) {
-          if (!Row[I][P]) {
-            OK = false;
-            break;
-          }
-          for (unsigned J = 0; J < N; ++J)
-            if (!Row[I][P]->A[J].isZero() && !S[J]) {
-              OK = false;
-              break;
-            }
-        }
-        if (!OK) {
-          S[I] = false;
-          Changed = true;
-        }
-      }
+    std::vector<unsigned> Work;
+    auto drop = [&](unsigned I) {
+      S[I] = false;
+      Work.push_back(I);
+    };
+    for (unsigned I = 0; I < N; ++I) {
+      if (!S[I])
+        continue;
+      bool OK = Ev.Complete[I];
+      for (size_t R = 0; R < Ev.Reads[I].size() && OK; ++R)
+        OK = S[Ev.Reads[I][R]];
+      if (!OK)
+        drop(I);
+    }
+    while (!Work.empty()) {
+      const unsigned J = Work.back();
+      Work.pop_back();
+      for (unsigned I : Ev.ReadBy[J])
+        if (S[I])
+          drop(I);
     }
   }
 
@@ -720,11 +805,19 @@ private:
   /// for the members the solver could not close (the caller drops them and
   /// retries); a failure naming no variable is unrecoverable.
   bool solveSubset(const std::vector<bool> &S, std::vector<bool> &FailVar) {
-    const unsigned N = unsigned(Unknowns.size());
-    FailVar.assign(N, false);
+    FailVar.assign(S.size(), false);
 
-    // Per-phase transfers restricted to S; identity rows keep the excluded
-    // variables inert (their solutions are never read).
+    // Every matrix and vector below is indexed by position in Vars, the
+    // members of S in index order.  A closed subset's transfers read only
+    // members, so every entry left out is a zero: leaving them out changes
+    // no sum, no product and no overflow.
+    std::vector<unsigned> Vars;
+    for (unsigned I = 0; I < S.size(); ++I)
+      if (S[I])
+        Vars.push_back(I);
+    const unsigned N = unsigned(Vars.size());
+
+    // Per-phase transfers restricted to S.
     std::vector<RatMatrix> M;
     std::vector<std::vector<ClosedForm>> B;
     bool Failed = false;
@@ -732,13 +825,9 @@ private:
       RatMatrix MP(N, N);
       std::vector<ClosedForm> BP(N);
       for (unsigned I = 0; I < N; ++I) {
-        if (!S[I]) {
-          MP.at(I, I) = Rational(1);
-          continue;
-        }
-        const VecForm &VF = *Row[I][P];
+        const VecForm &VF = *row(Vars[I], P);
         for (unsigned J = 0; J < N; ++J)
-          MP.at(I, J) = VF.A[J];
+          MP.at(I, J) = VF.A[Vars[J]];
         BP[I] = VF.B;
       }
       M.push_back(std::move(MP));
@@ -755,11 +844,9 @@ private:
       Pfx.push_back(M[P] * Pfx[P]);
       std::vector<ClosedForm> DN(N);
       for (unsigned I = 0; I < N; ++I) {
-        if (!S[I])
-          continue;
         std::optional<ClosedForm> Str = B[P][I].atLinear(int64_t(K), P);
         if (!Str) {
-          FailVar[I] = true;
+          FailVar[Vars[I]] = true;
           Failed = true;
           continue;
         }
@@ -777,13 +864,14 @@ private:
     std::vector<Affine> Inits(N);
     for (unsigned I = 0; I < N; ++I) {
       ir::Value *Init = nullptr, *Carried = nullptr;
-      splitPhi(Unknowns[I], Init, Carried);
+      splitPhi(Unknowns[Vars[I]], Init, Carried);
       Classification IC = IA.classifyExternal(Init, L);
       Inits[I] = IC.isInvariant() ? IC.Form.initialValue()
                                   : Affine::symbol(Init);
     }
     // Stashed for the early-cycle obligation checks (c < Result.Shift is
     // outside the solved forms' domain, so those cycles replay concretely).
+    EarlyVars = Vars;
     EarlyM = M;
     EarlyB = B;
     EarlyInit = Inits;
@@ -800,7 +888,7 @@ private:
     RatMatrix A = Pfx[K];
     std::vector<ClosedForm> F = D[K];
     std::vector<Affine> Origin = Inits;
-    std::vector<bool> Active = S;
+    std::vector<bool> Active(N, true);
     std::vector<std::optional<ClosedForm>> Sol(N);
     unsigned T = 0;
     while (true) {
@@ -831,7 +919,7 @@ private:
       for (unsigned I : Reset) {
         std::optional<ClosedForm> SI = F[I].shifted(-1);
         if (!SI) {
-          FailVar[I] = true;
+          FailVar[Vars[I]] = true;
           Failed = true;
         } else {
           Sol[I] = std::move(*SI);
@@ -918,7 +1006,7 @@ private:
         // highest-indexed variable and let the caller's dead-set loop
         // retry without it rather than failing wholesale.
         if (NA > MaxSystemSize) {
-          FailVar[Idx.back()] = true;
+          FailVar[Vars[Idx.back()]] = true;
           Failed = true;
           continue;
         }
@@ -932,7 +1020,7 @@ private:
           std::optional<ClosedForm> GI = T ? F[Idx[I]].shifted(int64_t(T))
                                            : std::optional<ClosedForm>(F[Idx[I]]);
           if (!GI) {
-            FailVar[Idx[I]] = true;
+            FailVar[Vars[Idx[I]]] = true;
             Failed = Bad = true;
             continue;
           }
@@ -948,7 +1036,7 @@ private:
           if (Z[I])
             SI = T ? Z[I]->shifted(-int64_t(T)) : Z[I];
           if (!SI) {
-            FailVar[Idx[I]] = true;
+            FailVar[Vars[Idx[I]]] = true;
             Failed = true;
             continue;
           }
@@ -989,7 +1077,7 @@ private:
       if (OK)
         SI = Acc.shifted(-1);
       if (!SI) {
-        FailVar[I] = true;
+        FailVar[Vars[I]] = true;
         Failed = true;
         continue;
       }
@@ -1009,16 +1097,14 @@ private:
       return false;
 
     Result.Shift = MaxValid;
-    Result.PF.assign(N, std::vector<ClosedForm>(K));
+    Result.PF.assign(S.size(), std::vector<ClosedForm>(K));
     for (unsigned P = 0; P < K; ++P)
       for (unsigned I = 0; I < N; ++I) {
-        if (!S[I])
-          continue;
         ClosedForm Acc = D[P][I];
         for (unsigned J = 0; J < N; ++J)
           if (!Pfx[P].at(I, J).isZero())
             Acc = Acc + *Sol[J] * Pfx[P].at(I, J);
-        Result.PF[I][P] = std::move(Acc);
+        Result.PF[Vars[I]][P] = std::move(Acc);
       }
     return true;
   }
@@ -1043,9 +1129,10 @@ private:
   /// nullopt: the alternative arm exits the loop, branches again, or
   /// re-enters the path upstream -- relevance unknown, proof must fail.
   std::optional<std::vector<bool>> armDiffVars(const Obligation &O,
+                                               unsigned Phase,
                                                const std::vector<bool> &S) {
     const analysis::LoopInfo &LI = IA.loopInfo();
-    const Path &PB = CyclePaths[O.Phase];
+    const Path &PB = BasePaths[Phase % BaseK];
     const ir::Instruction *T = PB[O.BlockIdx].B->terminator();
     const ir::BasicBlock *Other =
         O.Taken == T->blocks()[0] ? T->blocks()[1] : T->blocks()[0];
@@ -1106,8 +1193,8 @@ private:
         continue;
       ir::Value *Init = nullptr, *Carried = nullptr;
       splitPhi(Unknowns[I], Init, Carried);
-      std::optional<VecForm> VF = evalValue(Carried, Ctx, O.Phase);
-      const std::optional<VecForm> &Ref = Row[I][O.Phase];
+      std::optional<VecForm> VF = evalValue(Carried, Ctx, Phase);
+      const std::optional<VecForm> &Ref = row(I, Phase);
       Diff[I] = !VF || !Ref || VF->A != Ref->A || !(VF->B == Ref->B);
     }
     return Diff;
@@ -1117,7 +1204,6 @@ private:
   /// obligation (by proof or by irrelevance), and shrink the subset by the
   /// variables a steering branch actually touches until a fixpoint.
   bool proveSubset() {
-    evalTransfers();
     const unsigned N = unsigned(Unknowns.size());
     // Vars proven hopeless (solver failure, branch-steered): never retried.
     // The working set S is re-derived from the survivors each round, so a
@@ -1159,22 +1245,22 @@ private:
       }
       bool NeedShrink = false, Fail = false;
       std::vector<bool> Shrink(N, false);
-      for (size_t Oi = 0; Oi < Obligations.size() && !Fail; ++Oi) {
-        const Obligation &O = Obligations[Oi];
-        if (O.LHS && condCoeffsWithin(O, S) && checkObligation(O))
-          continue;
-        std::optional<std::vector<bool>> Diff = armDiffVars(O, S);
-        if (!Diff) {
-          Fail = true;
-          break;
-        }
-        for (unsigned J = 0; J < N; ++J)
-          if ((*Diff)[J]) {
-            Shrink[J] = true;
-            NeedShrink = true;
+      for (unsigned P = 0; P < K && !Fail; ++P)
+        for (const Obligation &O : Ev.Obligations[P % Ev.K]) {
+          if (O.LHS && condCoeffsWithin(O, S) && checkObligation(O, P))
+            continue;
+          std::optional<std::vector<bool>> Diff = armDiffVars(O, P, S);
+          if (!Diff) {
+            Fail = true;
+            break;
           }
-        // No S-var differs between the arms: vacuous for this subset.
-      }
+          for (unsigned J = 0; J < N; ++J)
+            if ((*Diff)[J]) {
+              Shrink[J] = true;
+              NeedShrink = true;
+            }
+          // No S-var differs between the arms: vacuous for this subset.
+        }
       if (Fail) {
         FailWhy = &NumFailBranch;
         return false;
@@ -1233,14 +1319,17 @@ private:
     }
   }
 
-  /// Concrete replay of the obligation at the (pre-shift) cycle \p Cyc:
-  /// iterates the restricted per-phase transfer maps from the real inits up
-  /// to iteration h = K*Cyc + Phase, then tests the comparison on exact
-  /// affine values.
-  bool earlyObligationHolds(const Obligation &O, unsigned Cyc) {
-    const unsigned N = unsigned(Unknowns.size());
+  /// Concrete replay of the obligation of phase \p Phase at the
+  /// (pre-shift) cycle \p Cyc: iterates the restricted per-phase transfer
+  /// maps from the real inits up to iteration h = K*Cyc + Phase, then tests
+  /// the comparison on exact affine values.  Only members of the solved
+  /// subset move, and the obligation reads no other unknown
+  /// (condCoeffsWithin).
+  bool earlyObligationHolds(const Obligation &O, unsigned Phase,
+                            unsigned Cyc) {
+    const unsigned N = unsigned(EarlyVars.size());
     std::vector<Affine> X = EarlyInit;
-    const int64_t HT = int64_t(K) * Cyc + O.Phase;
+    const int64_t HT = int64_t(K) * Cyc + Phase;
     for (int64_t H = 0; H < HT; ++H) {
       const unsigned P = unsigned(H % int64_t(K));
       std::vector<Affine> NX(N);
@@ -1256,8 +1345,8 @@ private:
     auto val = [&](const VecForm &VF) {
       Affine V = VF.B.evaluateAt(HT);
       for (unsigned I = 0; I < N; ++I)
-        if (!VF.A[I].isZero())
-          V += X[I] * VF.A[I];
+        if (!VF.A[EarlyVars[I]].isZero())
+          V += X[I] * VF.A[EarlyVars[I]];
       return V;
     };
     const ClosedForm Dlt =
@@ -1265,9 +1354,10 @@ private:
     return cmpHolds(O.Cmp, O.TakenTrue, Dlt);
   }
 
-  bool checkObligation(const Obligation &O) {
-    std::optional<ClosedForm> LHS = obligationValue(*O.LHS, O.Phase);
-    std::optional<ClosedForm> RHS = obligationValue(*O.RHS, O.Phase);
+  /// Proves obligation \p O of phase \p Phase from the solved phase forms.
+  bool checkObligation(const Obligation &O, unsigned Phase) {
+    std::optional<ClosedForm> LHS = obligationValue(*O.LHS, Phase);
+    std::optional<ClosedForm> RHS = obligationValue(*O.RHS, Phase);
     if (!LHS || !RHS)
       return false;
     ClosedForm Dlt = *LHS - *RHS;
@@ -1279,7 +1369,7 @@ private:
         return false;
       Dlt = std::move(*Sh);
       for (unsigned Cyc = 0; Cyc < Result.Shift; ++Cyc)
-        if (!earlyObligationHolds(O, Cyc))
+        if (!earlyObligationHolds(O, Phase, Cyc))
           return false;
     }
     return cmpHolds(O.Cmp, O.TakenTrue, Dlt);
@@ -1330,20 +1420,18 @@ private:
   InductionAnalysis &IA;
   const analysis::Loop *L;
   ClassTable &Map;
+  SampleTraces &Traces;
   const ir::BasicBlock *Header;
 
   /// The vector X: unknown header phis in block order.
   std::vector<ir::Instruction *> Unknowns;
   std::unordered_map<const ir::Instruction *, unsigned> IndexOf;
 
-  unsigned BaseK = 0;           ///< Observed path-cycle period.
-  std::vector<Path> BasePaths;  ///< One observed path per base phase.
-  unsigned K = 0;               ///< Period of the current proof attempt.
-  std::vector<Path> CyclePaths; ///< One iteration path per phase.
-  std::vector<PhaseCtx> Phases;
-  std::vector<Obligation> Obligations;
-  /// Row[i][p]: transfer of X_i on phase p of the current attempt.
-  std::vector<std::vector<std::optional<VecForm>>> Row;
+  unsigned BaseK = 0;          ///< Observed path-cycle period.
+  std::vector<Path> BasePaths; ///< One observed path per base phase.
+  unsigned K = 0;              ///< Period of the current proof attempt.
+  CycleEval Ev;                ///< The evaluation the current attempt reads.
+  bool EvaluateEachK = false;  ///< The base evaluation met an unpinned ring.
 
   /// One proof attempt's outcome: the proved subset and, for its members,
   /// PF[i][p] -- the closed form of X_i on iterations h = K*c + p, in c.
@@ -1358,17 +1446,20 @@ private:
   };
   Attempt Result;
   /// Restricted per-phase transfers of the last successful solve, kept for
-  /// the concrete early-cycle obligation replay.
+  /// the concrete early-cycle obligation replay, over the subset EarlyVars.
+  std::vector<unsigned> EarlyVars;
   std::vector<RatMatrix> EarlyM;
   std::vector<std::vector<ClosedForm>> EarlyB;
   std::vector<Affine> EarlyInit;
   const stats::Counter *FailWhy = nullptr;
+  bool Overflowed = false; ///< Some attempt hit RationalOverflow.
 };
 
 } // namespace
 
 void biv::ivclass::summarizeLoop(InductionAnalysis &IA,
-                                 const analysis::Loop *L, ClassTable &Map) {
+                                 const analysis::Loop *L, ClassTable &Map,
+                                 SampleTraces &Traces) {
   stats::ScopedSpan Span(SummarizePhase);
-  Summarizer(IA, L, Map).run();
+  Summarizer(IA, L, Map, Traces).run();
 }

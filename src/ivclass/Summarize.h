@@ -18,7 +18,9 @@
 ///  1. *Sample*: run the function with the interpreter on a few argument
 ///     vectors, slice the block trace into per-iteration paths, and
 ///     conjecture the smallest period k <= SummarizeMaxPeriod such that
-///     every observed activation repeats its paths with period k.
+///     every observed activation repeats its paths with period k.  The
+///     runs sample the whole function, so one set serves every loop of an
+///     analysis run until the IR changes.
 ///  2. *Prove*: symbolically evaluate each phase path over the SSA graph as
 ///     X(h+1) = M_p * X(h) + b_p(h) (X = the loop's unknown header phis),
 ///     compose the per-cycle update, solve it with the recurrence solver,
@@ -51,9 +53,9 @@ namespace ivclass {
 /// left to the monotonic fallback (documented in DESIGN.md section 14).
 inline constexpr unsigned SummarizeMaxPeriod = 6;
 
-/// Number of interpreter probe runs per summarized loop; every function
-/// argument receives the same seed value within one run, and the runs
-/// differ only in that seed (documented in DESIGN.md section 14).
+/// Number of interpreter probe runs per sampling of a function; every
+/// function argument receives the same seed value within one run, and the
+/// runs differ only in that seed (documented in DESIGN.md section 14).
 inline constexpr unsigned SummarizeSampleCount = 3;
 
 /// Instruction budget of one probe run; probes past the budget contribute
@@ -71,9 +73,11 @@ inline constexpr unsigned SummarizeMaxVars = 8;
 /// interpreter samples, proves it over the SSA graph, and upgrades provable
 /// Unknown header phis in \p Map to PhasePeriodic (k >= 2) or plain closed
 /// forms (k == 1).  Runs after the classifier and never downgrades an
-/// existing classification.  Read-only with respect to the IR.
+/// existing classification.  Read-only with respect to the IR.  Samples
+/// into \p Traces when it is empty and reads it as is otherwise, so the
+/// caller clears it whenever the function changes.
 void summarizeLoop(InductionAnalysis &IA, const analysis::Loop *L,
-                   ClassTable &Map);
+                   ClassTable &Map, SampleTraces &Traces);
 
 } // namespace ivclass
 } // namespace biv

@@ -123,9 +123,10 @@ void expectSystemMatchesIteration(
   const size_t K = X.size();
   for (unsigned H = 0; H <= Steps; ++H) {
     for (size_t I = 0; I < K; ++I)
-      if (Sol[I])
+      if (Sol[I]) {
         EXPECT_EQ(Sol[I]->evaluateAt(H), Affine(X[I]))
             << "component " << I << " at h=" << H;
+      }
     std::vector<int64_t> Next(K, 0);
     for (size_t I = 0; I < K; ++I) {
       Rational Acc;
@@ -392,7 +393,8 @@ TEST(CFiniteOracleTest, WrappingExecutionSkipsClaimsCleanly) {
     EXPECT_TRUE(R.ParseOK);
     for (const fuzz::Mismatch &M : R.Mismatches)
       ADD_FAILURE() << "n=" << N << ": " << M.str();
-    if (N == 10)
+    if (N == 10) {
       EXPECT_GT(R.Checks.CFinite, 0u); // small n: claims actually checked
+    }
   }
 }

@@ -263,8 +263,9 @@ TEST(ParserTest, TruncatedInputNeverCrashes) {
   for (size_t Len = 0; Len <= Src.size(); ++Len) {
     Parser P(Src.substr(0, Len));
     FuncDecl *F = P.parseFunction();
-    if (!F)
+    if (!F) {
       EXPECT_FALSE(P.errors().empty()) << "silent failure at prefix " << Len;
+    }
   }
 }
 

@@ -7,8 +7,9 @@
 // prove split on branch cycles, per-phase closed forms up to
 // SummarizeMaxPeriod, the disproved-conjecture fallback to Unknown,
 // RationalOverflow degradation to "no claim", rotation idioms that cross a
-// subloop, and the result cache under the --summarize option bit (cold /
-// warm / stale-salt).  Every claimed per-phase form is re-verified
+// subloop, probe runs shared by the loops of one analysis run, and the
+// result cache under the --summarize option bit (cold / warm /
+// stale-salt).  Every claimed per-phase form is re-verified
 // value-by-value against the interpreter.
 //
 //===----------------------------------------------------------------------===//
@@ -31,6 +32,14 @@ InductionAnalysis::Options summarizeOpts() {
   InductionAnalysis::Options O;
   O.Summarize = true;
   return O;
+}
+
+/// How much the named counter grew on this thread while \p Fn ran.
+template <typename FnT> uint64_t counterDelta(const char *Name, FnT &&Fn) {
+  const stats::Counter C(Name);
+  const stats::Frame Before = stats::captureFrame();
+  Fn();
+  return (stats::captureFrame() - Before).Counters[C.index()];
 }
 
 /// Re-verifies a summarized classification against an execution trace.
@@ -166,11 +175,13 @@ func d(n) {
 }
 
 TEST(SummarizeTest, RationalOverflowDegradesToNoClaim) {
-  // Composing the two phase transfers squares 3037000500, which exceeds
-  // int64: the attempt must degrade to "no claim" (never a wrong claim,
-  // never a crash).  The toggle rides in the same system, so it degrades
-  // with the throwing attempt.
-  Analyzed A = analyze(R"(
+  // Each input squares 3037000500, which exceeds int64: every attempt must
+  // degrade to "no claim" (never a wrong claim, never a crash), and the
+  // loop counts as one overflow.  The toggle rides in the same system, so
+  // it degrades with the throwing attempt.
+  const char *Sources[] = {
+      // Composing the two phase transfers throws.
+      R"(
 func o(n) {
   t = 0; z = 1;
   for L: i = 1 to n {
@@ -180,9 +191,93 @@ func o(n) {
   return z;
 }
 )",
-                       /*RunSCCP=*/true, summarizeOpts());
-  EXPECT_TRUE(A.cls("L", "z").isUnknown());
-  EXPECT_TRUE(A.cls("L", "t").isUnknown());
+      // Evaluating phase 0's transfer throws, so the K = 2 evaluation
+      // records the overflow and the K = 4 and K = 6 attempts that replay
+      // it must fail the same way.
+      R"(
+func o(n) {
+  t = 0; z = 1;
+  for L: i = 1 to n {
+    if (t == 0) { w = z * 3037000500; z = w * 3037000500; t = 1; }
+    else { z = z + 1; t = 0; }
+  }
+  return z;
+}
+)"};
+  for (const char *Src : Sources) {
+    Analyzed A;
+    const uint64_t Overflows =
+        counterDelta("ivclass.summarize.overflow", [&] {
+          A = analyze(Src, /*RunSCCP=*/true, summarizeOpts());
+        });
+    EXPECT_EQ(Overflows, 1u) << Src;
+    EXPECT_TRUE(A.cls("L", "z").isUnknown()) << Src;
+    EXPECT_TRUE(A.cls("L", "t").isUnknown()) << Src;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Probe-run reuse across the loops of one analysis run
+//===----------------------------------------------------------------------===//
+
+TEST(SummarizeTest, SiblingLoopsShareOneSampling) {
+  // Nothing is materialized (a phase-periodic exit value needs a numeric
+  // trip count), so the function never changes between the two loops and
+  // the second one slices the first one's traces.
+  const char *Src = R"(
+func f(n) {
+  t = 0; z = 0;
+  for L1: i = 1 to n {
+    if (t == 0) { z = z + 5; t = 1; } else { z = z - 2; t = 0; }
+  }
+  u = 0; y = 0;
+  for L2: j = 1 to n {
+    if (u == 0) { y = y + 3; u = 1; } else { y = y - 1; u = 0; }
+  }
+  return z + y;
+}
+)";
+  Analyzed A;
+  const uint64_t Runs = counterDelta("interp.runs", [&] {
+    A = analyze(Src, /*RunSCCP=*/true, summarizeOpts());
+  });
+  EXPECT_EQ(Runs, SummarizeSampleCount);
+  EXPECT_EQ(A.tuple("L1", "z"),
+            "wrap-around(L1, order 2, "
+            "phase-periodic(L1, period 2, [3 + 3*h ; 8 + 3*h]))");
+  EXPECT_EQ(A.tuple("L2", "y"),
+            "wrap-around(L2, order 2, "
+            "phase-periodic(L2, period 2, [2 + 2*h ; 5 + 2*h]))");
+}
+
+TEST(SummarizeTest, MaterializedExitValueForcesResampling) {
+  // Numeric trip counts and uses after the loops: whichever loop is
+  // summarized first gets its exit value materialized, which rewrites a use
+  // after it, so the other loop samples the changed function again.
+  const char *Src = R"(
+func f(n) {
+  t = 0; z = 0;
+  for L1: i = 1 to 10 {
+    if (t == 0) { z = z + 5; t = 1; } else { z = z - 2; t = 0; }
+  }
+  u = 0; y = 0;
+  for L2: j = 1 to 9 {
+    if (u == 0) { y = y + 3; u = 1; } else { y = y - 1; u = 0; }
+  }
+  return z + y;
+}
+)";
+  Analyzed A;
+  const uint64_t Runs = counterDelta("interp.runs", [&] {
+    A = analyze(Src, /*RunSCCP=*/true, summarizeOpts());
+  });
+  EXPECT_EQ(Runs, 2 * SummarizeSampleCount);
+  EXPECT_EQ(A.tuple("L1", "z"),
+            "wrap-around(L1, order 2, "
+            "phase-periodic(L1, period 2, [3 + 3*h ; 8 + 3*h]))");
+  EXPECT_EQ(A.tuple("L2", "y"),
+            "wrap-around(L2, order 2, "
+            "phase-periodic(L2, period 2, [2 + 2*h ; 5 + 2*h]))");
 }
 
 //===----------------------------------------------------------------------===//

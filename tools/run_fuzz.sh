@@ -30,23 +30,30 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 BIVC="$BUILD/tools/bivc"
 
-# Stats determinism probe: merge the whole corpus at two worker counts and
-# diff the snapshots with "ns" durations zeroed (counters and span counts
-# must agree exactly; wall-clock never can).
+# Stats determinism probe: merge the corpus and the samples at two worker
+# counts and diff the snapshots with "ns" durations zeroed (counters and
+# span counts must agree exactly; wall-clock never can).  The --summarize
+# runs share probe traces across the loops of a unit, and --materialize
+# drops them mid-unit, so those paths run here under the sanitizers too.
 STATS_DIR="$(mktemp -d)"
 trap 'rm -rf "$STATS_DIR"' EXIT
-"$BIVC" --batch -j1 --summary --stats-json "$STATS_DIR/j1.json" \
-  "$ROOT"/tests/corpus/*.biv >/dev/null
-"$BIVC" --batch -j8 --summary --stats-json "$STATS_DIR/j8.json" \
-  "$ROOT"/tests/corpus/*.biv >/dev/null
-sed 's/"ns": [0-9]*/"ns": 0/g' "$STATS_DIR/j1.json" > "$STATS_DIR/j1.norm"
-sed 's/"ns": [0-9]*/"ns": 0/g' "$STATS_DIR/j8.json" > "$STATS_DIR/j8.norm"
-if ! cmp -s "$STATS_DIR/j1.norm" "$STATS_DIR/j8.norm"; then
-  echo "run_fuzz.sh: -j1 vs -j8 merged stats snapshots differ:" >&2
-  diff "$STATS_DIR/j1.norm" "$STATS_DIR/j8.norm" >&2 || true
-  exit 1
-fi
-echo "fuzz: -j1 vs -j8 merged stats snapshots identical (ns normalized)"
+for FLAGS in "" "--summarize" "--summarize --materialize"; do
+  # FLAGS is split into words on purpose.
+  "$BIVC" --batch -j1 --summary $FLAGS --stats-json "$STATS_DIR/j1.json" \
+    "$ROOT"/tests/corpus/*.biv "$ROOT"/samples/*.biv >/dev/null
+  "$BIVC" --batch -j8 --summary $FLAGS --stats-json "$STATS_DIR/j8.json" \
+    "$ROOT"/tests/corpus/*.biv "$ROOT"/samples/*.biv >/dev/null
+  sed 's/"ns": [0-9]*/"ns": 0/g' "$STATS_DIR/j1.json" > "$STATS_DIR/j1.norm"
+  sed 's/"ns": [0-9]*/"ns": 0/g' "$STATS_DIR/j8.json" > "$STATS_DIR/j8.norm"
+  if ! cmp -s "$STATS_DIR/j1.norm" "$STATS_DIR/j8.norm"; then
+    echo "run_fuzz.sh: -j1 vs -j8 merged stats snapshots differ" \
+         "(flags: ${FLAGS:-none}):" >&2
+    diff "$STATS_DIR/j1.norm" "$STATS_DIR/j8.norm" >&2 || true
+    exit 1
+  fi
+  echo "fuzz: -j1 vs -j8 merged stats snapshots identical" \
+       "(flags: ${FLAGS:-none}; ns normalized)"
+done
 
 # Cache round trip under the sanitizers: a cold run populates an on-disk
 # cache, a warm run is served from it, and both must print byte-identical
