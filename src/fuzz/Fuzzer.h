@@ -12,6 +12,14 @@
 /// reporting.  This is the engine behind `bivc --fuzz N --seed S` and the
 /// `fuzz_test` ctest smoke.
 ///
+/// With BatchJobs > 1 the programs are checked on a pool of BatchJobs
+/// workers while the calling thread renders the `-j1` reference.  Workers
+/// take programs in index order, and results commit in program order: the
+/// campaign, its report and its stop point match the serial loop's at any
+/// worker count.  Each committed check's stats delta is folded into the
+/// calling thread's frame, so that frame counts every oracle run, as it
+/// does when the checks run inline.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEYONDIV_FUZZ_FUZZER_H
@@ -34,10 +42,13 @@ struct FuzzOptions {
   uint64_t Seed = 1;
   /// Delta-minimize failures before reporting.
   bool Minimize = false;
-  /// Stop after this many failing programs.
+  /// Stop after this many failing programs.  The stop is exact on either
+  /// schedule: checks the pool ran past it are dropped, stats included,
+  /// and the batch diffs cover only the programs before it.
   unsigned MaxFailures = 10;
-  /// Worker count diffed against -j1 in the batch determinism check
-  /// (0 disables the check).
+  /// Campaign workers: the pool that checks the programs, and the worker
+  /// count diffed against -j1 in the batch determinism check.  0 or 1
+  /// checks every program on the calling thread and skips the diff.
   unsigned BatchJobs = 8;
   /// Run the per-program cache oracle (cold + warm analysis through an
   /// in-memory AnalysisCache, reports diffed byte-for-byte) on *every*

@@ -132,6 +132,7 @@ struct CheckCounts {
     Baseline += O.Baseline;
     return *this;
   }
+  bool operator==(const CheckCounts &) const = default;
 };
 
 /// Everything one oracle run produced.

@@ -36,6 +36,12 @@ std::vector<std::string> biv::ir::verify(const Function &F) {
     return I->seq() < BySeq.size() && BySeq[I->seq()] == I;
   };
 
+  // Membership test for "block of this function": a sorted table of the
+  // function's block pointers, so a branch target is found by binary search
+  // and never dereferenced.
+  std::vector<const BasicBlock *> Blocks(F.blocks().begin(), F.blocks().end());
+  std::sort(Blocks.begin(), Blocks.end());
+
   // Sort scratch reused across phis (allocates once, not per phi).
   std::vector<const BasicBlock *> IncomingScratch, PredScratch;
 
@@ -85,13 +91,9 @@ std::vector<std::string> biv::ir::verify(const Function &F) {
       }
     // Branch targets must be blocks of this function.
     if (const Instruction *T = BB->terminator())
-      for (const BasicBlock *Succ : T->blocks()) {
-        bool Found = false;
-        for (const BasicBlock *Other : F.blocks())
-          Found |= Other == Succ;
-        if (!Found)
+      for (const BasicBlock *Succ : T->blocks())
+        if (!std::binary_search(Blocks.begin(), Blocks.end(), Succ))
           problem(BB, "branch to block outside the function");
-      }
   }
   return Problems;
 }

@@ -14,6 +14,7 @@
 #include "fuzz/Minimizer.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/ProgramGen.h"
+#include "support/Stats.h"
 #include <sstream>
 
 using namespace biv;
@@ -264,9 +265,17 @@ FuzzResult runCleanSmoke(bool Summarize) {
   FO.Seed = 1;
   FO.BatchJobs = 8;
   FO.Oracle.Summarize = Summarize;
+  stats::Frame Before = stats::captureFrame();
   FuzzResult R = runFuzz(FO);
+  stats::Frame Delta = stats::captureFrame() - Before;
 
   EXPECT_EQ(R.Programs, 500u);
+  // The pool checks the programs on its workers; every check's stats must
+  // still reach the calling thread's frame.
+  static const stats::Counter Checked("fuzz.programs_checked");
+  static const stats::Timer Oracle("phase.oracle");
+  EXPECT_EQ(Delta.Counters[Checked.index()], 500u);
+  EXPECT_EQ(Delta.Timers[Oracle.index()].Spans, 500u);
   for (const FuzzFailure &F : R.Failures)
     for (const Mismatch &M : F.Mismatches)
       ADD_FAILURE() << "seed " << F.ProgramSeed << ": " << M.str() << "\n"
@@ -313,9 +322,13 @@ TEST(FuzzCampaignTest, InjectedFailureMinimizesToAtMostFiveStatements) {
   FO.Seed = 7;
   FO.Minimize = true;
   FO.MaxFailures = 1;
-  FO.BatchJobs = 0; // determinism diff is exercised by the smoke test
+  FO.BatchJobs = 0;
   FO.Oracle.InjectLinearSkew = 2;
+  static const stats::Counter Checked("fuzz.programs_checked");
+  stats::Frame Before = stats::captureFrame();
   FuzzResult R = runFuzz(FO);
+  uint64_t SerialChecked =
+      (stats::captureFrame() - Before).Counters[Checked.index()];
 
   ASSERT_FALSE(R.Failures.empty());
   const FuzzFailure &F = R.Failures[0];
@@ -331,6 +344,22 @@ TEST(FuzzCampaignTest, InjectedFailureMinimizesToAtMostFiveStatements) {
   std::string Text = R.renderText();
   EXPECT_NE(Text.find("FAILURES"), std::string::npos);
   EXPECT_NE(Text.find(M.Check), std::string::npos);
+
+  // The pool stops where the serial loop stops: the same programs, the same
+  // failure and repro, and the same oracle runs on the calling thread (the
+  // checks it ran past the stop are dropped).  Its batch diff covers the
+  // committed programs only, so it stays byte-identical.
+  FO.BatchJobs = 8;
+  Before = stats::captureFrame();
+  FuzzResult P = runFuzz(FO);
+  EXPECT_EQ((stats::captureFrame() - Before).Counters[Checked.index()],
+            SerialChecked);
+  EXPECT_EQ(P.Programs, R.Programs);
+  ASSERT_EQ(P.Failures.size(), 1u);
+  EXPECT_EQ(P.Failures[0].ProgramSeed, F.ProgramSeed);
+  EXPECT_EQ(P.Failures[0].MinimizedSource, F.MinimizedSource);
+  EXPECT_TRUE(P.BatchChecked);
+  EXPECT_TRUE(P.BatchDeterministic);
 }
 
 TEST(FuzzCampaignTest, CampaignIsReproducible) {
@@ -342,6 +371,19 @@ TEST(FuzzCampaignTest, CampaignIsReproducible) {
   FuzzResult B = runFuzz(FO);
   EXPECT_EQ(A.renderText(), B.renderText());
   EXPECT_EQ(A.Checks.total(), B.Checks.total());
+
+  // Any pool size runs the same campaign as the serial loop.
+  FO.BatchJobs = 2;
+  FuzzResult Two = runFuzz(FO);
+  FO.BatchJobs = 8;
+  FuzzResult Eight = runFuzz(FO);
+  EXPECT_EQ(Two.renderText(), Eight.renderText());
+  for (const FuzzResult *Pooled : {&Two, &Eight}) {
+    EXPECT_EQ(Pooled->Programs, A.Programs);
+    EXPECT_EQ(Pooled->Checks, A.Checks);
+    EXPECT_EQ(Pooled->CacheOracleRuns, A.CacheOracleRuns);
+    EXPECT_TRUE(Pooled->ok());
+  }
 }
 
 TEST(FuzzMinimizerTest, MultiBranchReproSurvivesMinimization) {

@@ -132,6 +132,20 @@ TEST(IRTest, VerifierCatchesPhiAfterNonPhi) {
   EXPECT_TRUE(Found);
 }
 
+TEST(IRTest, VerifierCatchesBranchIntoAnotherFunction) {
+  Diamond D;
+  Function Other("other");
+  BasicBlock *Foreign = Other.createBlock("foreign");
+  IRBuilder(Other, Foreign).ret();
+  // Retarget Then's branch from Join to a block Other owns.
+  D.Then->terminator()->setBlock(0, Foreign);
+  std::vector<std::string> Problems = verify(D.F);
+  bool Found = false;
+  for (const std::string &P : Problems)
+    Found |= P == "block then: branch to block outside the function";
+  EXPECT_TRUE(Found);
+}
+
 TEST(IRTest, RemoveUnreachableBlocks) {
   Diamond D;
   BasicBlock *Dead = D.F.createBlock("dead");

@@ -21,9 +21,10 @@
 //                        merged aggregate
 //   Counters and span counts are deterministic (identical for -j1 and -j8);
 //   only span durations (ns) vary run to run.  In fuzz mode the snapshot
-//   covers the calling thread: generation, oracle checks, and the serial
-//   pipeline work (the -jN determinism probes inside the fuzzer run on
-//   worker threads whose frames are deliberately not folded in).
+//   covers the calling thread: the -j1 reference pass and the minimizer
+//   run there, and the oracle checks run on pool workers whose per-program
+//   deltas are folded in, in program order.  The -jN determinism probes
+//   run on worker threads whose frames are deliberately not folded in.
 //
 //   bivc --batch [-jN] FILES...
 //     Parallel batch analysis: every file is split into top-level functions
@@ -78,11 +79,14 @@
 //     Differential fuzzing: generate N seeded random programs, check every
 //     classifier claim against the interpreter oracle, diff batch -j1
 //     against -j8 byte-for-byte, and (with --minimize) delta-debug any
-//     mismatching program down to a minimal statement list.  Exit status 0
-//     iff no mismatch was found.  --cache-oracle additionally runs every
-//     program cold and warm through an in-memory analysis cache and fails
-//     on any report divergence (a random subset of programs exercises the
-//     same check even without the flag).
+//     mismatching program down to a minimal statement list.  The programs
+//     are checked on 8 pool workers while the -j1 pass renders beside them;
+//     results commit in program order, so the output is the same as a
+//     serial run's.  Exit status 0 iff no mismatch was found.
+//     --cache-oracle additionally runs every program cold and warm through
+//     an in-memory analysis cache and fails on any report divergence (a
+//     random subset of programs exercises the same check even without the
+//     flag).
 //
 //===----------------------------------------------------------------------===//
 

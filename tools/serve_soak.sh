@@ -2,9 +2,9 @@
 # ThreadSanitizer soak of the analysis daemon.
 #
 # Configures a separate TSan-instrumented build tree (the tier-1 build stays
-# uninstrumented), runs the daemon lifecycle unit matrix under TSan, and then
-# soaks the real `bivc --serve` / `bivc --connect` binaries over the
-# regression corpus:
+# uninstrumented), runs the daemon lifecycle unit matrix under TSan, soaks
+# the real `bivc --serve` / `bivc --connect` binaries over the regression
+# corpus, and runs one pooled fuzz campaign under the race detector:
 #
 #  1. server_test under TSan: byte-identity, warm shared cache, bounded
 #     admission, deadlines, crash isolation, SIGTERM drain -- the ISSUE's
@@ -28,6 +28,9 @@
 #  8. Compaction under concurrent load: clients hammer a capped cache
 #     across repeated flush/compact cycles from multiple worker processes;
 #     every reply stays byte-identical and the file stays under the cap.
+#  9. Pooled fuzz campaign: `bivc --fuzz 300 --seed 1 --summarize` checks
+#     its programs on the default 8 pool workers, with the -j1 reference
+#     rendering beside them, and must come back clean.
 #
 # Invoked by `ctest -C stress -R serve_soak` or directly:
 #
@@ -318,5 +321,14 @@ if [ "$KSIZE" -gt "$KCAP" ]; then
 fi
 echo "serve_soak: compaction under concurrent load held the cap" \
   "($KSIZE <= $KCAP, 3 passes x 40 programs x 2 clients)"
+
+# 9. Pooled fuzz campaign under the race detector.
+if ! "$BIVC" --fuzz 300 --seed 1 --summarize >"$DIR/fuzz.out"; then
+  echo "serve_soak: pooled fuzz campaign failed:" >&2
+  cat "$DIR/fuzz.out" >&2
+  exit 1
+fi
+echo "serve_soak: pooled fuzz campaign clean under TSan" \
+  "($(head -n 1 "$DIR/fuzz.out"))"
 
 echo "serve_soak: OK"
