@@ -82,6 +82,26 @@ DominatorTree::DominatorTree(const ir::Function &F) : F(F) {
     IDom[RPO[I]->id()] = static_cast<int>(Parent->id());
     Children[Parent->id()].push_back(RPO[I]);
   }
+
+  // Preorder intervals of the tree, for constant-time dominance queries.
+  TreeIn.assign(N, 0);
+  TreeOut.assign(N, 0);
+  unsigned Clock = 0;
+  std::vector<std::pair<const ir::BasicBlock *, size_t>> Stack;
+  TreeIn[F.entry()->id()] = Clock++;
+  Stack.push_back({F.entry(), 0});
+  while (!Stack.empty()) {
+    auto &[BB, NextKid] = Stack.back();
+    const std::vector<ir::BasicBlock *> &Kids = Children[BB->id()];
+    if (NextKid == Kids.size()) {
+      TreeOut[BB->id()] = Clock;
+      Stack.pop_back();
+      continue;
+    }
+    const ir::BasicBlock *Kid = Kids[NextKid++];
+    TreeIn[Kid->id()] = Clock++;
+    Stack.push_back({Kid, 0});
+  }
 }
 
 ir::BasicBlock *DominatorTree::idom(const ir::BasicBlock *BB) const {
@@ -91,19 +111,10 @@ ir::BasicBlock *DominatorTree::idom(const ir::BasicBlock *BB) const {
 
 bool DominatorTree::dominates(const ir::BasicBlock *A,
                               const ir::BasicBlock *B) const {
-  if (RPONumber[A->id()] < 0 || RPONumber[B->id()] < 0)
+  if (!isReachable(A) || !isReachable(B))
     return false;
-  // Walk B's idom chain; RPO numbers strictly decrease along it.
-  const ir::BasicBlock *Cur = B;
-  while (Cur) {
-    if (Cur == A)
-      return true;
-    if (RPONumber[Cur->id()] < RPONumber[A->id()])
-      return false;
-    int Id = IDom[Cur->id()];
-    Cur = Id < 0 ? nullptr : F.blocks()[Id];
-  }
-  return false;
+  return TreeIn[A->id()] <= TreeIn[B->id()] &&
+         TreeIn[B->id()] < TreeOut[A->id()];
 }
 
 bool DominatorTree::properlyDominates(const ir::BasicBlock *A,

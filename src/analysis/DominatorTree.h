@@ -37,7 +37,12 @@ public:
   /// Immediate dominator; null for the entry and for unreachable blocks.
   ir::BasicBlock *idom(const ir::BasicBlock *BB) const;
 
-  /// Reflexive dominance.
+  /// True when \p BB is reachable from the entry (it has a tree node).
+  bool isReachable(const ir::BasicBlock *BB) const {
+    return RPONumber[BB->id()] >= 0;
+  }
+
+  /// Reflexive dominance, in constant time.
   bool dominates(const ir::BasicBlock *A, const ir::BasicBlock *B) const;
   bool properlyDominates(const ir::BasicBlock *A,
                          const ir::BasicBlock *B) const;
@@ -60,6 +65,9 @@ private:
   std::vector<int> RPONumber;            // by block id; -1 = unreachable
   std::vector<ir::BasicBlock *> RPO;
   std::vector<std::vector<ir::BasicBlock *>> Children;
+  /// By block id: preorder number in the tree, and one past the last
+  /// number in its subtree; A dominates B iff B's number is in A's range.
+  std::vector<unsigned> TreeIn, TreeOut;
 };
 
 /// Dominance frontiers DF(B) for every reachable block.

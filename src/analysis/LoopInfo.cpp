@@ -3,17 +3,9 @@
 #include "analysis/LoopInfo.h"
 #include "support/Stats.h"
 #include <algorithm>
-#include <map>
 
 using namespace biv;
 using namespace biv::analysis;
-
-bool Loop::encloses(const Loop *Other) const {
-  for (const Loop *L = Other; L; L = L->parent())
-    if (L == this)
-      return true;
-  return false;
-}
 
 /// Derives the printable loop name from its header block name: "L18.header"
 /// becomes "L18"; anything else is used as is.
@@ -28,56 +20,87 @@ static std::string loopNameFromHeader(const ir::BasicBlock *Header) {
 LoopInfo::LoopInfo(const ir::Function &F, const DominatorTree &DT) : F(F) {
   static const stats::Timer LoopInfoPhase("phase.loopinfo");
   stats::ScopedSpan Span(LoopInfoPhase);
-  InnermostFor.assign(F.numBlocks(), nullptr);
+  const size_t NumBlocks = F.numBlocks();
+  InnermostFor.assign(NumBlocks, nullptr);
 
-  // Find back edges grouped by header, in RPO so outer headers come first.
-  std::map<const ir::BasicBlock *, std::vector<ir::BasicBlock *>> BackEdges;
-  std::vector<ir::BasicBlock *> HeaderOrder;
+  // Back edges grouped by header, each header's latches in RPO.
+  std::vector<std::vector<ir::BasicBlock *>> LatchesOf(NumBlocks);
   for (ir::BasicBlock *BB : DT.rpo())
     for (ir::BasicBlock *Succ : BB->successors())
-      if (DT.dominates(Succ, BB)) {
-        auto [It, Inserted] = BackEdges.try_emplace(Succ);
-        if (Inserted)
-          HeaderOrder.push_back(Succ);
-        It->second.push_back(BB);
-      }
-  // RPO order of headers: sort HeaderOrder by RPO position.
-  {
-    std::map<const ir::BasicBlock *, size_t> Pos;
-    for (size_t I = 0; I < DT.rpo().size(); ++I)
-      Pos[DT.rpo()[I]] = I;
-    std::sort(HeaderOrder.begin(), HeaderOrder.end(),
-              [&](ir::BasicBlock *A, ir::BasicBlock *B) {
-                return Pos[A] < Pos[B];
-              });
-  }
+      if (DT.dominates(Succ, BB))
+        LatchesOf[Succ->id()].push_back(BB);
 
-  // Build each loop body: backwards reachability from the latches without
-  // crossing the header.
-  for (ir::BasicBlock *Header : HeaderOrder) {
+  // One loop per header, headers in RPO: a loop's header dominates the
+  // headers of the loops inside it, so every loop comes after the loops
+  // around it.  Its body is the backward walk from the latches that stops
+  // at the header.  Natural loops with distinct headers are nested or
+  // disjoint, so when a walk starts, InnermostFor of its header holds the
+  // innermost loop around it (the parent), and each walk overwrites the
+  // entries of its blocks, leaving every block's innermost loop at the end.
+  std::vector<unsigned> WalkOf(NumBlocks, 0); // 1 + index of the last walk
+  std::vector<ir::BasicBlock *> Work;
+  for (ir::BasicBlock *Header : DT.rpo()) {
+    if (LatchesOf[Header->id()].empty())
+      continue;
     auto L = std::make_unique<Loop>(Header, loopNameFromHeader(Header));
-    L->Latches = BackEdges[Header];
-    L->BlockSet.insert(Header->id());
-    std::vector<ir::BasicBlock *> Work = L->Latches;
+    L->Info = this;
+    L->Index = Loops.size();
+    L->Latches = std::move(LatchesOf[Header->id()]);
+    L->Parent = InnermostFor[Header->id()];
+    if (L->Parent) {
+      L->Parent->SubLoops.push_back(L.get());
+      L->Depth = L->Parent->Depth + 1;
+    } else {
+      TopLevel.push_back(L.get());
+    }
+    const unsigned Walk = L->Index + 1;
+    auto visit = [&](ir::BasicBlock *BB) {
+      if (WalkOf[BB->id()] == Walk)
+        return false;
+      WalkOf[BB->id()] = Walk;
+      InnermostFor[BB->id()] = L.get();
+      return true;
+    };
+    visit(Header);
     for (ir::BasicBlock *Latch : L->Latches)
-      L->BlockSet.insert(Latch->id());
+      if (visit(Latch))
+        Work.push_back(Latch);
     while (!Work.empty()) {
       ir::BasicBlock *BB = Work.back();
       Work.pop_back();
-      if (BB == Header)
-        continue;
       for (ir::BasicBlock *P : BB->predecessors())
-        if (L->BlockSet.insert(P->id()).second)
+        if (DT.isReachable(P) && visit(P))
           Work.push_back(P);
     }
-    // Materialize the block list in function order for determinism.
-    for (ir::BasicBlock *BB : F.blocks())
-      if (L->BlockSet.count(BB->id()))
-        L->Blocks.push_back(BB);
+    Loops.push_back(std::move(L));
+  }
+
+  // Preorder intervals of the nest tree: subtree sizes children first, then
+  // numbers parents first, each child right after its elder siblings.
+  for (auto It = Loops.rbegin(); It != Loops.rend(); ++It)
+    if (Loop *P = (*It)->Parent)
+      P->NestSize += (*It)->NestSize;
+  auto numberChildren = [](unsigned Next, const std::vector<Loop *> &Kids) {
+    for (Loop *Kid : Kids) {
+      Kid->Pre = Next;
+      Next += Kid->NestSize;
+    }
+  };
+  numberChildren(0, TopLevel);
+  for (const auto &L : Loops)
+    numberChildren(L->Pre + 1, L->SubLoops);
+
+  // Block lists in function order: one pass hands each block to its
+  // innermost loop and every loop around it.
+  for (ir::BasicBlock *BB : F.blocks())
+    for (Loop *L = InnermostFor[BB->id()]; L; L = L->Parent)
+      L->Blocks.push_back(BB);
+
+  for (const auto &L : Loops) {
     // Preheader: unique outside predecessor of the header.
     ir::BasicBlock *Pre = nullptr;
     bool Multiple = false;
-    for (ir::BasicBlock *P : Header->predecessors()) {
+    for (ir::BasicBlock *P : L->Header->predecessors()) {
       if (L->contains(P))
         continue;
       if (Pre)
@@ -96,36 +119,7 @@ LoopInfo::LoopInfo(const ir::Function &F, const DominatorTree &DT) : F(F) {
               L->Exits.end())
             L->Exits.push_back(Succ);
         }
-    L->Index = Loops.size();
-    Loops.push_back(std::move(L));
   }
-
-  // Parent links: the smallest strictly-containing loop.  Headers appear in
-  // RPO, so a parent always precedes its children in Loops.
-  for (size_t I = 0; I < Loops.size(); ++I) {
-    Loop *Inner = Loops[I].get();
-    Loop *Best = nullptr;
-    for (size_t J = 0; J < I; ++J) {
-      Loop *Outer = Loops[J].get();
-      if (Outer == Inner || !Outer->contains(Inner->header()))
-        continue;
-      if (!Best || Best->Blocks.size() > Outer->Blocks.size())
-        Best = Outer;
-    }
-    Inner->Parent = Best;
-    if (Best) {
-      Best->SubLoops.push_back(Inner);
-      Inner->Depth = Best->Depth + 1;
-    } else {
-      TopLevel.push_back(Inner);
-    }
-  }
-
-  // Innermost loop per block: visit loops outer-to-inner so inner loops
-  // overwrite their parents.
-  for (const auto &L : Loops)
-    for (ir::BasicBlock *BB : L->Blocks)
-      InnermostFor[BB->id()] = L.get();
 }
 
 std::vector<Loop *> LoopInfo::innerToOuter() const {
@@ -134,10 +128,6 @@ std::vector<Loop *> LoopInfo::innerToOuter() const {
   for (auto It = Loops.rbegin(); It != Loops.rend(); ++It)
     Result.push_back(It->get());
   return Result;
-}
-
-Loop *LoopInfo::loopFor(const ir::BasicBlock *BB) const {
-  return InnermostFor[BB->id()];
 }
 
 Loop *LoopInfo::byName(const std::string &Name) const {

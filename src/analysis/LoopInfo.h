@@ -13,6 +13,13 @@
 /// this nest "from the inner loops outward" (paper section 5.3), so LoopInfo
 /// exposes an inner-to-outer traversal.
 ///
+/// Membership costs O(1) and no per-loop set: LoopInfo keeps the innermost
+/// loop of every block, and each loop a preorder interval of the nest tree,
+/// so a loop contains a block iff the block's innermost loop lies in that
+/// interval.  Construction is linear in the blocks and edges plus the size
+/// of the blocks() lists.  Blocks unreachable from the entry belong to no
+/// loop, as they have no dominator-tree node.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEYONDIV_ANALYSIS_LOOPINFO_H
@@ -20,12 +27,13 @@
 
 #include "analysis/DominatorTree.h"
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace biv {
 namespace analysis {
+
+class LoopInfo;
 
 /// One natural loop.
 class Loop {
@@ -39,16 +47,18 @@ public:
   /// matching the loop names in the paper's figures.
   const std::string &name() const { return Name; }
 
-  /// All blocks of the loop (header included).
+  /// All blocks of the loop (header included), in function order.
   const std::vector<ir::BasicBlock *> &blocks() const { return Blocks; }
-  bool contains(const ir::BasicBlock *BB) const {
-    return BlockSet.count(BB->id()) != 0;
-  }
+  /// True when \p BB is a block of this loop or of a loop nested in it.
+  inline bool contains(const ir::BasicBlock *BB) const;
   bool contains(const ir::Instruction *I) const {
     return contains(I->parent());
   }
   /// True when \p Other is this loop or nested (transitively) inside it.
-  bool encloses(const Loop *Other) const;
+  bool encloses(const Loop *Other) const {
+    // Unsigned wrap folds Pre <= Other->Pre into the upper-bound test.
+    return Other && Other->Pre - Pre < NestSize;
+  }
 
   /// Latch blocks (sources of back edges).  The front end produces exactly
   /// one latch per loop.
@@ -77,10 +87,10 @@ public:
 private:
   friend class LoopInfo;
 
+  const LoopInfo *Info = nullptr;
   ir::BasicBlock *Header;
   std::string Name;
   std::vector<ir::BasicBlock *> Blocks;
-  std::set<unsigned> BlockSet;
   std::vector<ir::BasicBlock *> Latches;
   ir::BasicBlock *Preheader = nullptr;
   std::vector<ir::BasicBlock *> Exiting;
@@ -89,12 +99,19 @@ private:
   std::vector<Loop *> SubLoops;
   unsigned Depth = 1;
   unsigned Index = 0;
+  /// Preorder number in the nest tree: the loops this one encloses, itself
+  /// included, are numbered Pre .. Pre + NestSize - 1.
+  unsigned Pre = 0;
+  unsigned NestSize = 1;
 };
 
 /// The loop nest of one function.
 class LoopInfo {
 public:
   LoopInfo(const ir::Function &F, const DominatorTree &DT);
+  // Loops point back at their LoopInfo for membership queries.
+  LoopInfo(const LoopInfo &) = delete;
+  LoopInfo &operator=(const LoopInfo &) = delete;
 
   /// All loops, every parent preceding its children.
   const std::vector<std::unique_ptr<Loop>> &loops() const { return Loops; }
@@ -106,8 +123,11 @@ public:
   /// induction-variable analysis wants.
   std::vector<Loop *> innerToOuter() const;
 
-  /// The innermost loop containing \p BB, or null.
-  Loop *loopFor(const ir::BasicBlock *BB) const;
+  /// The innermost loop containing \p BB, or null (also for blocks created
+  /// after this LoopInfo).
+  Loop *loopFor(const ir::BasicBlock *BB) const {
+    return BB->id() < InnermostFor.size() ? InnermostFor[BB->id()] : nullptr;
+  }
 
   /// Finds a loop by printable name, or null.
   Loop *byName(const std::string &Name) const;
@@ -118,6 +138,10 @@ private:
   std::vector<Loop *> TopLevel;
   std::vector<Loop *> InnermostFor; // by block id
 };
+
+bool Loop::contains(const ir::BasicBlock *BB) const {
+  return encloses(Info->loopFor(BB));
+}
 
 } // namespace analysis
 } // namespace biv

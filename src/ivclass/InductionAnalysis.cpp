@@ -18,38 +18,36 @@ using namespace biv::ivclass;
 // ClassTable
 //===----------------------------------------------------------------------===//
 
+const ir::Instruction *ClassTable::ownInstruction(const ir::Value *V) const {
+  const auto *I = ir::dyn_cast<ir::Instruction>(V);
+  return I && I->parent() && LI->loopFor(I->parent()) == L ? I : nullptr;
+}
+
 Classification *ClassTable::find(const ir::Value *V) {
-  if (const auto *I = ir::dyn_cast<ir::Instruction>(V)) {
-    unsigned Seq = I->seq();
-    return Seq < BySeq.size() ? BySeq[Seq] : nullptr;
-  }
+  if (const ir::Instruction *I = ownInstruction(V))
+    return I->seq() < Slots->size() ? (*Slots)[I->seq()] : nullptr;
   auto It = Other.find(V);
   return It != Other.end() ? It->second : nullptr;
 }
 
 Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
   Created = false;
-  if (const auto *I = ir::dyn_cast<ir::Instruction>(V)) {
-    unsigned Seq = I->seq();
-    if (Seq >= BySeq.size())
-      BySeq.resize(std::max<size_t>(Seq + 1, BySeq.size() * 2), nullptr);
-    Classification *&Slot = BySeq[Seq];
-    if (!Slot) {
-      Pool.emplace_back();
-      Slot = &Pool.back();
-      Entries.push_back({V, Slot});
-      Created = true;
-    }
-    return *Slot;
+  Classification **Slot;
+  if (const ir::Instruction *I = ownInstruction(V)) {
+    const unsigned Seq = I->seq();
+    if (Seq >= Slots->size())
+      Slots->resize(std::max<size_t>(Seq + 1, Slots->size() * 2), nullptr);
+    Slot = &(*Slots)[Seq];
+  } else {
+    Slot = &Other[V];
   }
-  Classification *&Slot = Other[V];
-  if (!Slot) {
+  if (!*Slot) {
     Pool.emplace_back();
-    Slot = &Pool.back();
-    Entries.push_back({V, Slot});
+    *Slot = &Pool.back();
+    Entries.push_back({V, *Slot});
     Created = true;
   }
-  return *Slot;
+  return **Slot;
 }
 
 namespace {
@@ -76,19 +74,32 @@ using SymSet = std::vector<LinTerm>;
 /// the analysis' ClassMap.
 class LoopClassifier {
 public:
+  /// \p NodeBySeq and \p InSCRMask are the analysis' shared seq-indexed
+  /// scratch, all clear on entry and again once this classifier is gone.
   LoopClassifier(InductionAnalysis &IA, const analysis::Loop *L,
                  ClassTable &Map, const InductionAnalysis::Options &Opts,
-                 unsigned &FamilyId, InductionAnalysis::Stats &S)
-      : IA(IA), L(L), G(*L, IA.loopInfo()), Map(Map), Opts(Opts),
-        NextFamilyId(FamilyId), S(S) {
+                 unsigned &FamilyId, InductionAnalysis::Stats &S,
+                 std::vector<unsigned> &NodeBySeq,
+                 std::vector<char> &InSCRMask)
+      : IA(IA), L(L), G(*L, IA.loopInfo(), NodeBySeq), Map(Map), Opts(Opts),
+        NextFamilyId(FamilyId), S(S), InSCRMask(InSCRMask) {
     // The graph construction numbered the function if needed; the SCR
     // membership mask is keyed by those sequence numbers.
-    InSCRMask.assign(L->header()->parent()->instrSeqBound(), 0);
+    const unsigned SeqBound = L->header()->parent()->instrSeqBound();
+    if (InSCRMask.size() < SeqBound)
+      InSCRMask.resize(SeqBound, 0);
     // Arrays written inside the loop (for the array-load invariance rule).
     for (ir::BasicBlock *BB : L->blocks())
       for (const auto &I : *BB)
         if (I->opcode() == ir::Opcode::ArrayStore)
           StoredArrays.insert(I->array());
+  }
+
+  ~LoopClassifier() {
+    // A region that overflowed skipped its own reset; its marks last until
+    // the end of this loop, as with a per-loop mask.
+    for (const ir::Instruction *N : G.nodes())
+      InSCRMask[N->seq()] = 0;
   }
 
   void run() {
@@ -1164,7 +1175,7 @@ private:
   InductionAnalysis::Stats &S;
   std::unordered_set<const ir::Array *> StoredArrays;
   /// Instruction::seq() -> membership in the SCR currently being classified.
-  std::vector<char> InSCRMask;
+  std::vector<char> &InSCRMask;
 };
 
 } // namespace
@@ -1177,11 +1188,15 @@ InductionAnalysis::InductionAnalysis(ir::Function &F,
                                      const analysis::DominatorTree &DT,
                                      const analysis::LoopInfo &LI,
                                      Options Opts)
-    : F(F), DT(DT), LI(LI), Opts(Opts) {
+    : F(F), DT(DT), LI(LI), Opts(Opts),
+      NullLoopClasses(nullptr, LI, ClassSlots) {
   // Dense numbering backs every per-loop table and the SSA graphs; doing it
   // here (cheap, idempotent) also repairs numbering after mutating passes.
   F.renumberInstructions();
-  ClassMap.resize(LI.loops().size());
+  ClassSlots.assign(F.instrSeqBound(), nullptr);
+  ClassMap.reserve(LI.loops().size());
+  for (const auto &L : LI.loops())
+    ClassMap.emplace_back(L.get(), LI, ClassSlots);
   TripCounts.resize(LI.loops().size());
 }
 
@@ -1203,10 +1218,14 @@ void InductionAnalysis::run() {
   for (const analysis::Loop *L : LI.innerToOuter())
     processLoop(L);
   ProbeTraces.clear();
+  UseHead = {};
+  UseSlots = {};
 }
 
 void InductionAnalysis::processLoop(const analysis::Loop *L) {
-  LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S).run();
+  LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S, NodeBySeq,
+                 InSCRMask)
+      .run();
 
   // Second chance for punted multi-branch loops: runs after the classifier
   // (it consumes sibling classifications) and before the trip count (which
@@ -1299,7 +1318,12 @@ ir::Value *InductionAnalysis::materializeAffine(const Affine &V,
   size_t InsertPos = BB->phis().size();
   // newInstr hands out a fresh seq, so the enclosing loops' dense numbering
   // stays valid for the materialized instructions.
-  auto emit = [&](ir::Instruction *I) { return BB->insertAt(InsertPos++, I); };
+  auto emit = [&](ir::Instruction *I) {
+    BB->insertAt(InsertPos++, I);
+    for (unsigned Idx = 0; Idx < I->numOperands(); ++Idx)
+      indexUse(I, Idx);
+    return I;
+  };
   ir::Value *Acc = nullptr;
   // Emission order must be stable across runs and worker threads (terms()
   // iterates in pointer order); see ir/AffineOrder.h.
@@ -1322,8 +1346,21 @@ ir::Value *InductionAnalysis::materializeAffine(const Affine &V,
   return Acc;
 }
 
+void InductionAnalysis::indexUse(ir::Instruction *User, unsigned Index) {
+  const auto *Def = ir::dyn_cast<ir::Instruction>(User->operand(Index));
+  if (!Def)
+    return;
+  if (Def->seq() >= UseHead.size())
+    UseHead.resize(std::max<size_t>(Def->seq() + 1, UseHead.size() * 2),
+                   NoUse);
+  UseSlots.push_back({User, Index, UseHead[Def->seq()]});
+  UseHead[Def->seq()] = UseSlots.size() - 1;
+}
+
 void InductionAnalysis::materializeExitValues(const analysis::Loop *L,
                                               const TripCountInfo &TC) {
+  static const stats::Timer MaterializePhase("phase.materialize");
+  stats::ScopedSpan Span(MaterializePhase);
   if (!TC.isCountable() || !TC.ExitBranch || L->latches().size() != 1)
     return;
   ir::BasicBlock *ExitBB = nullptr;
@@ -1426,24 +1463,32 @@ void InductionAnalysis::materializeExitValues(const analysis::Loop *L,
       continue;
 
     // Find uses outside the loop; phi uses count by their incoming edge.
+    // The first search of a run() indexes every operand slot.
+    if (UseHead.empty()) {
+      UseHead.assign(F.instrSeqBound(), NoUse);
+      for (const auto &BB : F.blocks())
+        for (ir::Instruction *U : *BB)
+          for (unsigned Idx = 0; Idx < U->numOperands(); ++Idx)
+            indexUse(U, Idx);
+    }
     struct Use {
       ir::Instruction *User;
       unsigned Index;
     };
     std::vector<Use> Uses;
-    for (const auto &BB : F.blocks())
-      for (ir::Instruction *U : *BB)
-        for (unsigned Idx = 0; Idx < U->numOperands(); ++Idx) {
-          if (U->operand(Idx) != V)
-            continue;
-          const ir::BasicBlock *Where =
-              U->isPhi() ? U->blocks()[Idx] : U->parent();
-          if (L->contains(Where))
-            continue;
-          if (Where != ExitBB && !DT.properlyDominates(ExitBB, Where))
-            continue;
-          Uses.push_back({U, Idx});
-        }
+    for (uint32_t Slot = V->seq() < UseHead.size() ? UseHead[V->seq()] : NoUse;
+         Slot != NoUse; Slot = UseSlots[Slot].Next) {
+      const UseSlot &U = UseSlots[Slot];
+      if (U.User->operand(U.Index) != V)
+        continue; // rewritten since it was indexed
+      const ir::BasicBlock *Where =
+          U.User->isPhi() ? U.User->blocks()[U.Index] : U.User->parent();
+      if (L->contains(Where))
+        continue;
+      if (Where != ExitBB && !DT.properlyDominates(ExitBB, Where))
+        continue;
+      Uses.push_back({U.User, U.Index});
+    }
     if (Uses.empty())
       continue;
 
@@ -1451,8 +1496,10 @@ void InductionAnalysis::materializeExitValues(const analysis::Loop *L,
         materializeAffine(*EV, ExitBB, std::string(V->name()) + ".exit");
     if (!Mat)
       continue;
-    for (const Use &U : Uses)
+    for (const Use &U : Uses) {
       U.User->setOperand(U.Index, Mat);
+      indexUse(U.User, U.Index);
+    }
     ProbeTraces.clear(); // the function changed: later loops sample again
     ++S.ExitValuesMaterialized;
     static const stats::Counter NumExitValues("ivclass.exit_values_materialized");

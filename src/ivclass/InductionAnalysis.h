@@ -36,14 +36,24 @@
 namespace biv {
 namespace ivclass {
 
-/// Classification storage for one loop.  Instructions (the hot path) are
-/// keyed by their dense Instruction::seq() through a flat pointer vector;
-/// constants, arguments, and undef fall back to a hash map.  Entries are
-/// pooled in a deque so references stay stable across inserts, and the
-/// insertion order is recorded so iteration is deterministic (a pointer-keyed
-/// std::map iterated in address order, which varies run to run).
+/// Classification storage for one loop.  Instructions whose innermost loop
+/// is this table's loop (the hot path: the classifier's own nodes) are keyed
+/// by their dense Instruction::seq() in a slot vector that every table of
+/// one analysis shares -- each instruction has one innermost loop, so one
+/// slot per seq serves all tables, and a table costs its entries rather than
+/// the function.  Other values (constants, arguments, undef, instructions of
+/// other loops) fall back to a hash map.  Entries are pooled in a deque so
+/// references stay stable across inserts, and the insertion order is
+/// recorded so iteration is deterministic (a pointer-keyed std::map iterated
+/// in address order, which varies run to run).
 class ClassTable {
 public:
+  /// The table of \p L (null: outside every loop) of \p LI, keeping its own
+  /// instructions in \p Slots.
+  ClassTable(const analysis::Loop *L, const analysis::LoopInfo &LI,
+             std::vector<Classification *> &Slots)
+      : L(L), LI(&LI), Slots(&Slots) {}
+
   /// The entry for \p V, or null when none has been recorded.
   Classification *find(const ir::Value *V);
 
@@ -58,7 +68,13 @@ public:
   }
 
 private:
-  std::vector<Classification *> BySeq;
+  /// \p V as an instruction of this table's loop (not of a sub-loop), or
+  /// null: the values kept in Slots.
+  const ir::Instruction *ownInstruction(const ir::Value *V) const;
+
+  const analysis::Loop *L;
+  const analysis::LoopInfo *LI;
+  std::vector<Classification *> *Slots;
   std::unordered_map<const ir::Value *, Classification *> Other;
   std::deque<Classification> Pool;
   std::vector<std::pair<const ir::Value *, const Classification *>> Entries;
@@ -114,6 +130,9 @@ public:
                     const analysis::LoopInfo &LI, Options Opts);
   InductionAnalysis(ir::Function &F, const analysis::DominatorTree &DT,
                     const analysis::LoopInfo &LI);
+  // The per-loop tables point into this object's shared slots.
+  InductionAnalysis(const InductionAnalysis &) = delete;
+  InductionAnalysis &operator=(const InductionAnalysis &) = delete;
 
   /// Processes every loop, inner to outer.
   void run();
@@ -154,6 +173,9 @@ private:
   /// null when a coefficient is not an integer.
   ir::Value *materializeAffine(const Affine &V, ir::BasicBlock *BB,
                                const std::string &Name);
+  /// Adds operand \p Index of \p User to the use chain of the instruction
+  /// it reads (nothing for other values).
+  void indexUse(ir::Instruction *User, unsigned Index);
 
   /// Table for \p L; loops are keyed by their dense index, a null loop (the
   /// "no enclosing loop" queries) by a dedicated slot.
@@ -165,8 +187,10 @@ private:
   Options Opts;
   Stats S;
 
-  /// Indexed by Loop::index(); sized once at construction.
+  /// Indexed by Loop::index(); sized once at construction.  Every table,
+  /// NullLoopClasses included, keeps its own instructions in ClassSlots.
   std::vector<ClassTable> ClassMap;
+  std::vector<Classification *> ClassSlots;
   ClassTable NullLoopClasses;
   std::vector<std::optional<TripCountInfo>> TripCounts;
   unsigned NextFamilyId = 1;
@@ -175,6 +199,28 @@ private:
   /// They describe the function as sampled, so an exit value that rewrites
   /// a use drops them, and so does the end of run().
   SampleTraces ProbeTraces;
+
+  /// Seq-indexed scratch that the per-loop classifiers share, so a loop
+  /// costs its own instructions rather than the function's.  Each is all
+  /// clear between loops: SSA-graph node numbers (SSAGraph::NoNode) and
+  /// membership in the region being classified.
+  std::vector<unsigned> NodeBySeq;
+  std::vector<char> InSCRMask;
+
+  /// Every operand slot of the function that reads an instruction, chained
+  /// per read instruction: UseHead by its seq, then UseSlot::Next.  Built by
+  /// the first exit-value use search of a run() and kept current: a slot
+  /// rewritten to a new value joins that value's chain, as do the operands
+  /// of inserted instructions.  A rewritten slot also stays in its old
+  /// chain, so a reader checks that the slot still reads the value.
+  struct UseSlot {
+    ir::Instruction *User;
+    unsigned Index;
+    uint32_t Next;
+  };
+  static constexpr uint32_t NoUse = ~0u;
+  std::vector<uint32_t> UseHead;
+  std::vector<UseSlot> UseSlots;
 };
 
 } // namespace ivclass

@@ -6,7 +6,8 @@
 using namespace biv;
 using namespace biv::ivclass;
 
-SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI)
+SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI,
+                   std::vector<unsigned> &NodeBySeq)
     : Loop(L) {
   ir::Function *F = L.header()->parent();
 
@@ -29,18 +30,19 @@ SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI)
   if (!Valid)
     F->renumberInstructions();
 
-  SeqToNode.assign(F->instrSeqBound(), NoNode);
+  if (NodeBySeq.size() < F->instrSeqBound())
+    NodeBySeq.resize(F->instrSeqBound(), NoNode);
   for (unsigned Idx = 0; Idx < Nodes.size(); ++Idx)
-    SeqToNode[Nodes[Idx]->seq()] = Idx;
+    NodeBySeq[Nodes[Idx]->seq()] = Idx;
 
   // CSR adjacency, one pass to count and one to fill.
   const unsigned N = Nodes.size();
   EdgeOffsets.assign(N + 1, 0);
   auto memberOf = [&](const ir::Value *Op) -> unsigned {
     const auto *OpInst = ir::dyn_cast<ir::Instruction>(Op);
-    if (!OpInst || OpInst->seq() >= SeqToNode.size())
+    if (!OpInst || OpInst->seq() >= NodeBySeq.size())
       return NoNode;
-    return SeqToNode[OpInst->seq()];
+    return NodeBySeq[OpInst->seq()];
   };
   for (unsigned Idx = 0; Idx < N; ++Idx)
     for (const ir::Value *Op : Nodes[Idx]->operands())
@@ -56,6 +58,8 @@ SSAGraph::SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI)
       if (W != NoNode)
         Edges[Fill[Idx]++] = W;
     }
+  for (const ir::Instruction *I : Nodes)
+    NodeBySeq[I->seq()] = NoNode;
 }
 
 std::vector<SCR> SSAGraph::stronglyConnectedRegions() const {

@@ -45,29 +45,27 @@ struct SCR {
 /// The SSA graph of one loop.
 class SSAGraph {
 public:
+  static constexpr unsigned NoNode = ~0u;
+
   /// Builds the graph of \p L: all instructions whose block is in \p L but
   /// in none of L's sub-loops.  Numbers the function's instructions densely
-  /// when that has not happened yet.
-  SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI);
+  /// when that has not happened yet.  \p NodeBySeq is scratch indexed by
+  /// Instruction::seq(), NoNode throughout on entry and again on return; the
+  /// caller can share it across loops, so a graph costs its own nodes
+  /// rather than the function.
+  SSAGraph(const analysis::Loop &L, const analysis::LoopInfo &LI,
+           std::vector<unsigned> &NodeBySeq);
 
   const analysis::Loop &loop() const { return Loop; }
   const std::vector<ir::Instruction *> &nodes() const { return Nodes; }
-  bool containsNode(const ir::Instruction *I) const {
-    return I->seq() < SeqToNode.size() && SeqToNode[I->seq()] != NoNode;
-  }
 
   /// Strongly connected regions in Tarjan pop order: every SCR appears
   /// after all SCRs it (transitively) reads from.
   std::vector<SCR> stronglyConnectedRegions() const;
 
 private:
-  static constexpr unsigned NoNode = ~0u;
-
   const analysis::Loop &Loop;
   std::vector<ir::Instruction *> Nodes;
-  /// Instruction::seq() -> node index, NoNode for non-members.  Sized to the
-  /// function's seq bound.
-  std::vector<unsigned> SeqToNode;
   /// CSR adjacency: successors of node i are Edges[EdgeOffsets[i] ..
   /// EdgeOffsets[i+1]).
   std::vector<unsigned> EdgeOffsets;

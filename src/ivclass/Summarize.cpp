@@ -852,7 +852,8 @@ private:
         }
         ClosedForm Acc = std::move(*Str);
         for (unsigned J = 0; J < N; ++J)
-          Acc = Acc + D[P][J] * M[P].at(I, J);
+          if (!M[P].at(I, J).isZero()) // a zero term adds nothing
+            Acc = Acc + D[P][J] * M[P].at(I, J);
         DN[I] = std::move(Acc);
       }
       D.push_back(std::move(DN));

@@ -29,7 +29,12 @@ public:
 
 private:
   void placePhis();
-  void rename(ir::BasicBlock *BB);
+  /// Renames over the dominator tree in preorder, with an explicit stack:
+  /// the tree is as deep as the function is long for sibling loops.
+  void rename();
+  /// The part of the walk local to \p BB: its own definitions and the phi
+  /// operands of its successors.
+  void renameBlock(ir::BasicBlock *BB);
 
   ir::Value *currentDef(const ir::Var *V) {
     const uint32_t H = Head[V->id()];
@@ -83,7 +88,7 @@ SSAInfo Builder::run() {
   RepBySeq.assign(F.instrSeqBound(), nullptr);
   Head.assign(F.vars().size(), NoDef);
   SavedFrame.assign(F.vars().size(), 0);
-  rename(F.entry());
+  rename();
   // Delete the now-dead variable accesses in one compaction per block (the
   // loads and stores of a big block all die at once; per-instruction erase
   // would shift the tail per call).
@@ -169,9 +174,35 @@ void Builder::placePhis() {
   }
 }
 
-void Builder::rename(ir::BasicBlock *BB) {
-  // Remember stack depths to pop on the way out.
-  const size_t UndoMark = Undo.size();
+void Builder::rename() {
+  struct Visit {
+    ir::BasicBlock *BB;
+    size_t UndoMark; // Undo depth to pop back to on the way out
+    size_t NextChild;
+  };
+  std::vector<Visit> Stack;
+  auto enter = [&](ir::BasicBlock *BB) {
+    Stack.push_back({BB, Undo.size(), 0});
+    renameBlock(BB);
+  };
+  enter(F.entry());
+  while (!Stack.empty()) {
+    Visit &Top = Stack.back();
+    const std::vector<ir::BasicBlock *> &Kids = DT.children(Top.BB);
+    if (Top.NextChild < Kids.size()) {
+      enter(Kids[Top.NextChild++]);
+      continue;
+    }
+    while (Undo.size() > Top.UndoMark) {
+      auto [VarId, OldHead] = Undo.back();
+      Undo.pop_back();
+      Head[VarId] = OldHead;
+    }
+    Stack.pop_back();
+  }
+}
+
+void Builder::renameBlock(ir::BasicBlock *BB) {
   const unsigned Frame = ++FrameCounter;
   auto pushDef = [&](const ir::Var *V, ir::Value *Def) {
     if (SavedFrame[V->id()] != Frame) {
@@ -213,15 +244,6 @@ void Builder::rename(ir::BasicBlock *BB) {
     for (ir::Instruction *Phi : Succ->phis())
       if (const ir::Var *V = Phi->variable())
         Phi->addIncoming(currentDef(V), BB);
-
-  for (ir::BasicBlock *Child : DT.children(BB))
-    rename(Child);
-
-  while (Undo.size() > UndoMark) {
-    auto [VarId, OldHead] = Undo.back();
-    Undo.pop_back();
-    Head[VarId] = OldHead;
-  }
 }
 
 } // namespace

@@ -147,36 +147,15 @@ static int64_t narrow(__int128 V) {
   return static_cast<int64_t>(V);
 }
 
-Rational::Rational(int64_t N, int64_t D) {
+Rational Rational::normalized(__int128 N, __int128 D) {
   assert(D != 0 && "rational with zero denominator");
-  // Normalize sign and reduce in 128 bits: N = INT64_MIN with D < 0 would
-  // overflow a plain int64 negation before the gcd could shrink it.
-  __int128 WN = N, WD = D;
-  if (WD < 0) {
-    WN = -WN;
-    WD = -WD;
-  }
-  __int128 A = WN < 0 ? -WN : WN, B = WD;
-  while (B != 0) {
-    __int128 T = A % B;
-    A = B;
-    B = T;
-  }
-  if (A > 1) {
-    WN /= A;
-    WD /= A;
-  }
-  Num = narrow(WN);
-  Den = narrow(WD);
-}
-
-static Rational makeNormalized(__int128 N, __int128 D) {
-  assert(D != 0 && "rational with zero denominator");
+  // Normalize sign and reduce before narrowing, so transient wide values
+  // survive: N = INT64_MIN with D < 0 would overflow a plain int64
+  // negation before the gcd could shrink it.
   if (D < 0) {
     N = -N;
     D = -D;
   }
-  // Reduce in 128 bits before narrowing so transient wide values survive.
   __int128 A = N < 0 ? -N : N, B = D;
   while (B != 0) {
     __int128 T = A % B;
@@ -187,39 +166,64 @@ static Rational makeNormalized(__int128 N, __int128 D) {
     N /= A;
     D /= A;
   }
-  return Rational(narrow(N), narrow(D));
+  return Rational(narrow(N), narrow(D), Reduced());
 }
+
+Rational::Rational(int64_t N, int64_t D) : Rational(normalized(N, D)) {}
 
 Rational Rational::operator-() const {
-  // -INT64_MIN/Den is not representable; route through the widening
-  // constructor path instead of negating in int64 (signed-overflow UB).
-  return makeNormalized(-static_cast<__int128>(Num), Den);
+  // -INT64_MIN is not representable: throw rather than negate in int64
+  // (signed-overflow UB).  Negation keeps a reduced value reduced.
+  if (Num == INT64_MIN)
+    throw RationalOverflow();
+  return Rational(-Num, Den, Reduced());
 }
 
+// Integer operands take the fast paths: their exact result is an integer,
+// so there is nothing to reduce, and the overflow builtins report exactly
+// the 128-bit results that narrow() would reject.
 Rational Rational::operator+(const Rational &RHS) const {
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Den +
-                            static_cast<__int128>(RHS.Num) * Den,
-                        static_cast<__int128>(Den) * RHS.Den);
+  if (Den == 1 && RHS.Den == 1) {
+    int64_t R;
+    if (__builtin_add_overflow(Num, RHS.Num, &R))
+      throw RationalOverflow();
+    return Rational(R);
+  }
+  return normalized(static_cast<__int128>(Num) * RHS.Den +
+                        static_cast<__int128>(RHS.Num) * Den,
+                    static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator-(const Rational &RHS) const {
-  // Direct 128-bit subtraction, not *this + (-RHS): negating first throws
-  // for RHS touching INT64_MIN even when the difference itself fits (e.g.
-  // the trip-count margin (hi - lo) with lo == INT64_MIN).
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Den -
-                            static_cast<__int128>(RHS.Num) * Den,
-                        static_cast<__int128>(Den) * RHS.Den);
+  // Direct subtraction, not *this + (-RHS): negating first throws for RHS
+  // touching INT64_MIN even when the difference itself fits (e.g. the
+  // trip-count margin (hi - lo) with lo == INT64_MIN).
+  if (Den == 1 && RHS.Den == 1) {
+    int64_t R;
+    if (__builtin_sub_overflow(Num, RHS.Num, &R))
+      throw RationalOverflow();
+    return Rational(R);
+  }
+  return normalized(static_cast<__int128>(Num) * RHS.Den -
+                        static_cast<__int128>(RHS.Num) * Den,
+                    static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator*(const Rational &RHS) const {
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Num,
-                        static_cast<__int128>(Den) * RHS.Den);
+  if (Den == 1 && RHS.Den == 1) {
+    int64_t R;
+    if (__builtin_mul_overflow(Num, RHS.Num, &R))
+      throw RationalOverflow();
+    return Rational(R);
+  }
+  return normalized(static_cast<__int128>(Num) * RHS.Num,
+                    static_cast<__int128>(Den) * RHS.Den);
 }
 
 Rational Rational::operator/(const Rational &RHS) const {
   assert(!RHS.isZero() && "division by zero rational");
-  return makeNormalized(static_cast<__int128>(Num) * RHS.Den,
-                        static_cast<__int128>(Den) * RHS.Num);
+  return normalized(static_cast<__int128>(Num) * RHS.Den,
+                    static_cast<__int128>(Den) * RHS.Num);
 }
 
 bool Rational::operator<(const Rational &RHS) const {

@@ -12,11 +12,12 @@
 /// variables by inverting small integer matrices; the inverses "will have
 /// only rational entries" (section 4.3), so the solver needs exact rational
 /// arithmetic.  Intermediate products are computed in 128 bits, gcd-reduced
-/// while still wide, and narrowed back to int64.  A reduced value that does
-/// not fit 64 bits throws RationalOverflow -- callers at analysis
-/// boundaries (recurrence solver, trip counts, per-region classification)
-/// catch it and degrade to "unknown" instead of computing with a silently
-/// wrapped number.
+/// once while still wide, and narrowed back to int64.  A sum, difference or
+/// product of two integers is already reduced, so it skips the gcd and only
+/// checks the int64 range.  A reduced value that does not fit 64 bits
+/// throws RationalOverflow -- callers at analysis boundaries (recurrence
+/// solver, trip counts, per-region classification) catch it and degrade to
+/// "unknown" instead of computing with a silently wrapped number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,6 +102,13 @@ public:
   std::string str() const;
 
 private:
+  /// \p N / \p D, already reduced with \p D > 0.
+  struct Reduced {};
+  Rational(int64_t N, int64_t D, Reduced) : Num(N), Den(D) {}
+
+  /// Reduces \p N / \p D (\p D nonzero) in 128 bits, then narrows.
+  static Rational normalized(__int128 N, __int128 D);
+
   int64_t Num = 0;
   int64_t Den = 1;
 };

@@ -1,6 +1,12 @@
 //===- tests/analysis_test.cpp - Dominators and loop info unit tests ----------===//
 
 #include "TestUtil.h"
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 
 using namespace biv;
 using namespace biv::testutil;
@@ -64,6 +70,126 @@ bool reachable(const ir::Function &F, const ir::BasicBlock *B) {
       }
   }
   return false;
+}
+
+/// Brute-force natural loops, by header: for every back edge (a reachable
+/// edge into a block that dominates its source, by bruteDominates), the
+/// header plus the blocks that reach the latch without passing through the
+/// header, found by a predecessor walk.  Back edges into one header make
+/// one loop.
+std::map<const ir::BasicBlock *, std::set<const ir::BasicBlock *>>
+bruteLoops(const ir::Function &F) {
+  std::map<const ir::BasicBlock *, std::set<const ir::BasicBlock *>> Loops;
+  for (const ir::BasicBlock *Latch : F.blocks()) {
+    if (!reachable(F, Latch))
+      continue;
+    for (const ir::BasicBlock *Header : Latch->successors()) {
+      if (!bruteDominates(F, Header, Latch))
+        continue;
+      std::set<const ir::BasicBlock *> &Body = Loops[Header];
+      Body.insert(Header);
+      std::vector<const ir::BasicBlock *> Work;
+      if (Body.insert(Latch).second)
+        Work.push_back(Latch);
+      while (!Work.empty()) {
+        const ir::BasicBlock *BB = Work.back();
+        Work.pop_back();
+        for (const ir::BasicBlock *P : BB->predecessors())
+          if (Body.insert(P).second)
+            Work.push_back(P);
+      }
+    }
+  }
+  return Loops;
+}
+
+/// Checks every LoopInfo answer for \p F against bruteLoops: the loops,
+/// contains, the function order of blocks(), loopFor, parent, depth and
+/// encloses.
+void expectLoopInfoMatchesBruteForce(const ir::Function &F,
+                                     const std::string &What) {
+  DominatorTree DT(F);
+  LoopInfo LI(F, DT);
+  const auto Brute = bruteLoops(F);
+  ASSERT_EQ(LI.loops().size(), Brute.size()) << What;
+  // The innermost brute loop holding BB, skipping Skip: the smallest body.
+  auto innermost = [&](const ir::BasicBlock *BB,
+                       const ir::BasicBlock *Skip) -> const ir::BasicBlock * {
+    const ir::BasicBlock *Best = nullptr;
+    for (const auto &[Header, Body] : Brute)
+      if (Header != Skip && Body.count(BB) &&
+          (!Best || Body.size() < Brute.at(Best).size()))
+        Best = Header;
+    return Best;
+  };
+  auto headerOf = [](const Loop *L) {
+    return L ? L->header() : static_cast<const ir::BasicBlock *>(nullptr);
+  };
+  for (const auto &L : LI.loops()) {
+    auto It = Brute.find(L->header());
+    ASSERT_NE(It, Brute.end()) << What << ": " << L->name();
+    const std::set<const ir::BasicBlock *> &Body = It->second;
+    std::vector<ir::BasicBlock *> InOrder;
+    for (ir::BasicBlock *BB : F.blocks()) {
+      EXPECT_EQ(L->contains(BB), Body.count(BB) != 0)
+          << What << ": " << L->name() << " / " << BB->name();
+      if (Body.count(BB))
+        InOrder.push_back(BB);
+    }
+    EXPECT_EQ(L->blocks(), InOrder) << What << ": " << L->name();
+    unsigned Depth = 1;
+    for (const auto &[Header, Other] : Brute)
+      Depth += Header != L->header() && Other.count(L->header());
+    EXPECT_EQ(headerOf(L->parent()), innermost(L->header(), L->header()))
+        << What << ": " << L->name();
+    EXPECT_EQ(L->depth(), Depth) << What << ": " << L->name();
+    for (const auto &M : LI.loops())
+      EXPECT_EQ(L->encloses(M.get()), Body.count(M->header()) != 0)
+          << What << ": " << L->name() << " / " << M->name();
+  }
+  for (const ir::BasicBlock *BB : F.blocks())
+    EXPECT_EQ(headerOf(LI.loopFor(BB)), innermost(BB, nullptr))
+        << What << ": " << BB->name();
+}
+
+/// \p K sibling loops in one function, each with a flip-flop flag: the
+/// shape on which a per-loop scan of the function turns quadratic.
+std::string siblingLoops(unsigned K) {
+  std::string S = "func sib(n) {\n";
+  for (unsigned I = 0; I < K; ++I) {
+    const std::string N = std::to_string(I), T = "t" + N, Z = "z" + N;
+    S += "  " + T + " = 0; " + Z + " = 0;\n  for L" + N + ": i" + N +
+         " = 1 to n {\n    if (" + T + " == 0) { " + Z + " = " + Z +
+         " + 5; " + T + " = 1; } else { " + Z + " = " + Z + " - 2; " + T +
+         " = 0; }\n  }\n";
+  }
+  return S + "  return z0;\n}\n";
+}
+
+/// A nest \p Depth deep.  Each level also holds a sibling loop before its
+/// inner loop and a conditional after it, and the innermost level a loop
+/// with two breaks.
+std::string loopNest(unsigned Depth) {
+  std::string Open, Close;
+  for (unsigned D = 0; D < Depth; ++D) {
+    const std::string N = std::to_string(D);
+    Open += "for N" + N + ": a" + N + " = 1 to n {\n  s = s + a" + N +
+            ";\n  for S" + N + ": b" + N + " = 1 to a" + N +
+            " { s = s + 1; }\n";
+    Close = "  if (s > n) { s = s - 1; }\n}\n" + Close;
+  }
+  return "func nest(n) {\n  s = 0;\n" + Open +
+         "loop W { s = s + 1; if (s > 9) break; if (s > 2 * n) break; }\n" +
+         Close + "  return s;\n}\n";
+}
+
+std::vector<std::filesystem::path> bivFiles(const char *Dir) {
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.path().extension() == ".biv")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  return Files;
 }
 
 } // namespace
@@ -262,4 +388,26 @@ TEST(LoopInfoTest, LoopBlocksAndContains) {
   EXPECT_FALSE(L->contains(F->entry()));
   for (ir::BasicBlock *BB : L->exitBlocks())
     EXPECT_FALSE(L->contains(BB));
+}
+
+TEST(LoopInfoTest, MatchesBruteForceOnRealPrograms) {
+  std::vector<std::pair<std::string, std::string>> Programs = {
+      {"siblings", siblingLoops(48)}, {"nest", loopNest(9)}};
+  size_t Files = 0;
+  for (const char *Dir : {BIV_CORPUS_DIR, BIV_SAMPLES_DIR})
+    for (const std::filesystem::path &P : bivFiles(Dir)) {
+      std::ifstream In(P);
+      std::ostringstream Src;
+      Src << In.rdbuf();
+      Programs.push_back({P.filename().string(), Src.str()});
+      ++Files;
+    }
+  EXPECT_GT(Files, 20u) << "corpus or samples missing";
+  for (const auto &[Name, Src] : Programs) {
+    // Straight from the front end, as peeling sees it, and after SSA,
+    // SCCP and the analysis, which inserts exit values.
+    expectLoopInfoMatchesBruteForce(*build(Src), Name + " (lowered)");
+    testutil::Analyzed P = testutil::analyze(Src, /*RunSCCP=*/true);
+    expectLoopInfoMatchesBruteForce(*P.F, Name + " (analyzed)");
+  }
 }

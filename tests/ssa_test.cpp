@@ -129,6 +129,20 @@ TEST(SSATest, PhiNamesFollowVariables) {
 // SCCP
 //===----------------------------------------------------------------------===//
 
+TEST(SSATest, DeepDominatorTreeRenamesWithoutRecursion) {
+  // Every if ends in a join that the next one hangs from, so the dominator
+  // tree is a chain 100 000 joins deep.  The rename walk recursed once per
+  // tree level and overflowed the default 8 MB stack on this input.
+  constexpr int Ifs = 100000;
+  std::string Src = "func f(n) {\n  x = 0;\n";
+  for (int K = 0; K < Ifs; ++K)
+    Src += "  if (n > " + std::to_string(K) + ") { x = x + 1; }\n";
+  Src += "  return x;\n}\n";
+  ssa::SSAInfo Info;
+  auto F = buildSSAOf(Src, &Info);
+  EXPECT_EQ(Info.PhisPlaced, unsigned(Ifs));
+}
+
 TEST(SCCPTest, FoldsThroughPhis) {
   auto F = buildSSAOf("func f(a) {"
                       "  if (a > 0) { x = 2 + 3; } else { x = 10 / 2; }"

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 #include <limits>
+#include <optional>
 #include <vector>
 
 using namespace biv;
@@ -169,6 +170,12 @@ TEST(RationalTest, OverflowThrowsInsteadOfWrapping) {
   EXPECT_THROW(Rational(1, Min), RationalOverflow);
   EXPECT_THROW(Rational(Min, -1), RationalOverflow); // == -Min, one too big
   EXPECT_THROW(Rational(Min) / Rational(-1), RationalOverflow);
+  // Integer operands skip the gcd, not the range check.
+  EXPECT_THROW(Rational(Min) * Rational(-1), RationalOverflow);
+  EXPECT_THROW(Rational(-1) * Rational(Min), RationalOverflow);
+  EXPECT_THROW(Rational(Min) + Rational(Min), RationalOverflow);
+  EXPECT_THROW(Rational(Max) - Rational(-1), RationalOverflow);
+  EXPECT_THROW(Rational(Min) * Rational(Min), RationalOverflow);
 }
 
 TEST(RationalTest, ExtremeValuesThatDoFitAreExact) {
@@ -184,6 +191,128 @@ TEST(RationalTest, ExtremeValuesThatDoFitAreExact) {
   EXPECT_EQ(Rational(Min).floor(), Min);
   EXPECT_EQ(Rational(Min).ceil(), Min);
   EXPECT_EQ(Rational(Min, 3).ceil(), Min / 3);
+  // The integer paths at the ends of the range.
+  EXPECT_EQ(Rational(Min) + Rational(0), Rational(Min));
+  EXPECT_EQ(Rational(Min) * Rational(1), Rational(Min));
+  EXPECT_EQ(-Rational(Max) - Rational(1), Rational(Min));
+  EXPECT_EQ(Rational(Max) + Rational(Min), Rational(-1));
+  EXPECT_EQ(Rational(Min) - Rational(Min), Rational(0));
+  EXPECT_EQ(Rational(Min / 2) * Rational(2), Rational(Min));
+  EXPECT_EQ(Rational(Max) * Rational(-1), Rational(Min + 1));
+}
+
+namespace {
+
+using I128 = __int128;
+
+/// The value \p N / \p D (D != 0) reduced, with D > 0, or nullopt when it
+/// does not fit int64/int64: what every Rational operation must return.
+std::optional<std::pair<int64_t, int64_t>> reducedReference(I128 N, I128 D) {
+  if (D < 0) {
+    N = -N;
+    D = -D;
+  }
+  I128 A = N < 0 ? -N : N, B = D;
+  while (B != 0) {
+    I128 T = A % B;
+    A = B;
+    B = T;
+  }
+  if (A > 1) {
+    N /= A;
+    D /= A;
+  }
+  auto fits = [](I128 V) { return V >= INT64_MIN && V <= INT64_MAX; };
+  if (!fits(N) || !fits(D))
+    return std::nullopt;
+  return std::make_pair(int64_t(N), int64_t(D));
+}
+
+I128 gcd128(I128 A, I128 B) {
+  A = A < 0 ? -A : A;
+  B = B < 0 ? -B : B;
+  while (B != 0) {
+    I128 T = A % B;
+    A = B;
+    B = T;
+  }
+  return A;
+}
+
+} // namespace
+
+TEST(RationalTest, SeededOperationsMatch128BitReference) {
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  Lcg R(18);
+  auto operand = [&]() -> Rational {
+    switch (R.range(0, 5)) {
+    case 0:
+      return Rational(R.range(-20, 20));
+    case 1: // an end of the range
+      return Rational(R.range(0, 1) ? Max - R.range(0, 3) : Min + R.range(0, 3));
+    case 2:
+      return Rational(int64_t(R.next()));
+    case 3:
+      return Rational(R.range(-50, 50), R.range(1, 60));
+    case 4:
+      return Rational(int64_t(R.next()), R.range(2, Max));
+    default:
+      return Rational(R.range(-(1 << 20), 1 << 20), R.range(1, 1 << 20));
+    }
+  };
+  unsigned Integers = 0, Fractions = 0, Thrown = 0;
+  for (unsigned I = 0; I < 20000; ++I) {
+    const Rational A = operand(), B = operand();
+    const I128 AN = A.numerator(), AD = A.denominator();
+    const I128 BN = B.numerator(), BD = B.denominator();
+    for (char Op : {'+', '-', '*', '/', '~'}) {
+      if (Op == '/' && B.isZero())
+        continue;
+      I128 N, D;
+      switch (Op) {
+      case '+':
+        N = AN * BD + BN * AD, D = AD * BD;
+        break;
+      case '-':
+        N = AN * BD - BN * AD, D = AD * BD;
+        break;
+      case '*':
+        N = AN * BN, D = AD * BD;
+        break;
+      case '/':
+        N = AN * BD, D = AD * BN;
+        break;
+      default: // negation
+        N = -AN, D = AD;
+        break;
+      }
+      const auto Want = reducedReference(N, D);
+      const std::string What =
+          A.str() + " " + Op + " " + (Op == '~' ? "" : B.str());
+      try {
+        const Rational Got = Op == '+'   ? A + B
+                             : Op == '-' ? A - B
+                             : Op == '*' ? A * B
+                             : Op == '/' ? A / B
+                                         : -A;
+        ASSERT_TRUE(Want) << What << " should overflow, got " << Got.str();
+        EXPECT_EQ(Got.numerator(), Want->first) << What;
+        EXPECT_EQ(Got.denominator(), Want->second) << What;
+        EXPECT_GT(Got.denominator(), 0) << What;
+        EXPECT_EQ(gcd128(Got.numerator(), Got.denominator()), 1) << What;
+        ++(Got.isInteger() ? Integers : Fractions);
+      } catch (const RationalOverflow &) {
+        EXPECT_FALSE(Want) << What << " threw, expected "
+                           << Rational(Want->first, Want->second).str();
+        ++Thrown;
+      }
+    }
+  }
+  // Every path is exercised: exact integers, reduced fractions, overflow.
+  EXPECT_GT(Integers, 10000u);
+  EXPECT_GT(Fractions, 10000u);
+  EXPECT_GT(Thrown, 5000u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -87,6 +87,31 @@ cmake --build "$BUILD" --target interp_test ssa_test -j "$(nproc)" >/dev/null
 "$BUILD/tests/ssa_test" >/dev/null
 echo "fuzz: interpreter and SSA/SCCP suites clean under ASan/UBSan"
 
+# Loop bookkeeping and exact arithmetic: the Rational and LoopInfo suites
+# run in the instrumented tree, and so do one-shot and -j1 batch runs on
+# 3 200 sibling loops in one function (generated into the build tree by
+# tests/CMakeLists.txt), which drive the loop-nest intervals, the shared
+# seq-indexed classification tables and the exit-value use index across
+# thousands of loops.
+cmake --build "$BUILD" --target support_test analysis_test -j "$(nproc)" \
+  >/dev/null
+"$BUILD/tests/support_test" >/dev/null
+"$BUILD/tests/analysis_test" >/dev/null
+SIBLINGS="$BUILD/tests/many_sibling_loops.biv"
+for MODE in "" "--batch -j1"; do
+  # MODE is split into words on purpose.
+  case "$("$BIVC" $MODE "$SIBLINGS")" in
+    *"i3199: (L3199, 1, 1)"*) ;;
+    *)
+      echo "run_fuzz.sh: bivc ${MODE:-one-shot} lost loop L3199 of" \
+           "$SIBLINGS" >&2
+      exit 1
+      ;;
+  esac
+done
+echo "fuzz: Rational/LoopInfo suites and 3 200 sibling loops clean" \
+     "under ASan/UBSan"
+
 # C-finite slice: the extension's focused suites (`ctest -L cfinite` in
 # tier-1) run in the instrumented tree, and a dedicated campaign slice must
 # report nonzero cfinite and partial oracle checks -- generator drift that
