@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic generators of loop-language programs for the benchmarks:
-/// derived-IV chains (scaling), mixed-class loops (coverage), deep nests
-/// (multiloop IVs), and array-reference batteries (dependence precision).
-/// All generation is seeded and reproducible.
+/// Deterministic generators of loop-language programs: derived-IV chains
+/// (linearity), mixed-class loops (coverage), deep nests (multiloop IVs),
+/// and array-reference batteries (dependence precision).  The tier-1 tests
+/// pin the paper's claim counts on them, and perfbench's batch workload
+/// draws its corpus from genCorpus.  All generation is seeded and
+/// reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,9 +25,6 @@
 
 namespace biv {
 namespace bench {
-
-/// Deterministic LCG shared with the fuzzing subsystem (support/Lcg.h).
-using biv::Lcg;
 
 /// One loop with a chain of \p N derived linear statements
 /// (v_k = v_{k-1} + c or v_k = a*i + b), ending in array stores so nothing

@@ -34,8 +34,8 @@
 ///
 /// Caveat an operator must know: per-request *stats* stay per-worker.  A
 /// Stats request is answered by whichever worker accepted it; fleet-wide
-/// aggregation is the monitoring system's job (scrape each worker, or use
-/// `bench_serve --fleet` which aggregates client-side).
+/// aggregation is the monitoring system's job (scrape each worker, or
+/// measure at the client).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,8 +6,8 @@
 // Covers the parallel batch-analysis subsystem: the ThreadPool's lifecycle
 // and error paths, function splitting, the analysis option bits, and the
 // load-bearing determinism guarantee -- a parallel batch run renders
-// byte-identically to a serial one over a generated corpus.  Also pins the
-// WorkloadGen LCG's overflow-safe range().
+// byte-identically to a serial one over a generated corpus.  Also pins that
+// a warm cached run skips classification.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,49 +19,12 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 using namespace biv;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// WorkloadGen Lcg
-//===----------------------------------------------------------------------===//
-
-TEST(LcgTest, RangeStaysInBounds) {
-  bench::Lcg R(42);
-  for (int I = 0; I < 1000; ++I) {
-    int64_t V = R.range(-5, 17);
-    EXPECT_GE(V, -5);
-    EXPECT_LE(V, 17);
-  }
-}
-
-TEST(LcgTest, DegenerateRangeIsConstant) {
-  bench::Lcg R(7);
-  for (int I = 0; I < 10; ++I)
-    EXPECT_EQ(R.range(3, 3), 3);
-}
-
-TEST(LcgTest, FullRangeDoesNotOverflow) {
-  // Hi - Lo + 1 wraps to 0 here; the old formula computed it in int64 and
-  // hit signed overflow (UB).  Any returned value is in range by definition;
-  // the test is that this is well-defined and deterministic.
-  bench::Lcg A(11), B(11);
-  int64_t Lo = std::numeric_limits<int64_t>::min();
-  int64_t Hi = std::numeric_limits<int64_t>::max();
-  for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(A.range(Lo, Hi), B.range(Lo, Hi));
-}
-
-TEST(LcgTest, Deterministic) {
-  bench::Lcg A(123), B(123);
-  for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(A.next(), B.next());
-}
 
 //===----------------------------------------------------------------------===//
 // ThreadPool
@@ -337,6 +300,14 @@ TEST(BatchCacheTest, WarmRunIsByteIdenticalAndFullyHit) {
   EXPECT_EQ(Warm.renderText(), Cold.renderText());
   // Nothing new to cache on the second pass: every unit hit.
   EXPECT_EQ(Cache.pendingCount(), ColdEntries);
+
+  // A hit replays the unit's counters but never classifies: the warm run
+  // opens no phase.classify span at all, where the cold run opened some.
+  stats::StatsSnapshot ColdStats = stats::snapshotFrame(Cold.MergedStats);
+  stats::StatsSnapshot WarmStats = stats::snapshotFrame(Warm.MergedStats);
+  EXPECT_GT(ColdStats.Timers["phase.classify"].Spans, 0u);
+  EXPECT_EQ(WarmStats.Counters["cache.hit"], Sources.size());
+  EXPECT_EQ(WarmStats.Timers.count("phase.classify"), 0u);
 
   // And the cached result equals a cache-less analysis.
   driver::BatchOptions Plain = BO;

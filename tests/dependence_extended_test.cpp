@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 #include "dependence/DependenceAnalyzer.h"
 
 using namespace biv;
@@ -306,4 +307,36 @@ TEST(ExtendedDepTest, StatsCountRefinements) {
   // The report must render without crashing and mention each array.
   std::string Report = DA.report(Deps);
   EXPECT_NE(Report.find("dep"), std::string::npos);
+}
+
+TEST(ExtendedDepTest, ClaimB4BatteryPrecision) {
+  // genDependenceBattery cycles six reference situations (strong SIV, GCD,
+  // out of bounds, wrap-around, periodic, monotonic pack).  With the
+  // extended classes the analyzer proves more pairs independent and
+  // assumes fewer dependences than the linear-only setting.
+  struct Counts {
+    unsigned Independent, Refined, Assumed;
+  };
+  const struct {
+    unsigned Pairs;
+    Counts Ext, Lin;
+  } Rows[] = {{6, {7, 7, 5}, {6, 9, 6}},
+              {24, {28, 28, 20}, {24, 36, 24}},
+              {96, {112, 112, 80}, {96, 144, 96}}};
+  for (const auto &[Pairs, Ext, Lin] : Rows) {
+    Analyzed A = analyze(bench::genDependenceBattery(Pairs),
+                         /*RunSCCP=*/true);
+    DependenceAnalyzer::Options LinearOnly;
+    LinearOnly.UseExtendedClasses = false;
+    DependenceAnalyzer DAExt(*A.IA), DALin(*A.IA, LinearOnly);
+    DAExt.analyze();
+    DALin.analyze();
+    const DependenceStats &SE = DAExt.stats(), &SL = DALin.stats();
+    EXPECT_EQ(SE.Independent, Ext.Independent) << Pairs;
+    EXPECT_EQ(SE.DirectionRefined, Ext.Refined) << Pairs;
+    EXPECT_EQ(SE.AssumedDependences, Ext.Assumed) << Pairs;
+    EXPECT_EQ(SL.Independent, Lin.Independent) << Pairs;
+    EXPECT_EQ(SL.DirectionRefined, Lin.Refined) << Pairs;
+    EXPECT_EQ(SL.AssumedDependences, Lin.Assumed) << Pairs;
+  }
 }

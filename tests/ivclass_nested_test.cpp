@@ -2,11 +2,13 @@
 //
 // Experiments E7 (Figures 7/8) and E8 (Figure 9): trip counts, materialized
 // exit values, multiloop induction variables, and the triangular-loop
-// quadratic that [EHLP92] found hard.
+// quadratic that [EHLP92] found hard.  B3 pins the same machinery on nests
+// of depth 1 to 8.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 
 using namespace biv;
 using namespace biv::testutil;
@@ -258,4 +260,34 @@ TEST(NestedIVTest, DisablingMaterializationLosesOuterIV) {
   Opts.MaterializeExitValues = false;
   Analyzed A = analyze(Fig7Src, /*RunSCCP=*/false, Opts);
   EXPECT_EQ(A.cls("L17", "k").Kind, IVKind::Unknown);
+}
+
+TEST(NestedIVTest, ClaimB3NestDepths) {
+  // genNest(D): D countable loops of 4 trips each around k = k + 1.  The
+  // nest has 2D linear families (each loop's counter and k), inner-to-outer
+  // processing materializes D(D+1)/2 exit values, and the innermost k
+  // prints as the full D-level nested tuple.
+  const struct {
+    unsigned Depth;
+    unsigned ExitValues;
+    const char *InnermostK;
+  } Rows[] = {
+      {1, 1, "(L1, 0, 1)"},
+      {2, 3, "(L2, (L1, 0, 4), 1)"},
+      {3, 6, "(L3, (L2, (L1, 0, 16), 4), 1)"},
+      {4, 10, "(L4, (L3, (L2, (L1, 0, 64), 16), 4), 1)"},
+      {6, 21,
+       "(L6, (L5, (L4, (L3, (L2, (L1, 0, 1024), 256), 64), 16), 4), 1)"},
+      {8, 36,
+       "(L8, (L7, (L6, (L5, (L4, (L3, (L2, (L1, 0, 16384), 4096), 1024), "
+       "256), 64), 16), 4), 1)"},
+  };
+  for (const auto &[Depth, ExitValues, InnermostK] : Rows) {
+    Analyzed A = analyze(bench::genNest(Depth));
+    EXPECT_EQ(A.LI->loops().size(), Depth);
+    EXPECT_EQ(A.IA->stats().LinearFamilies, 2 * Depth) << Depth;
+    EXPECT_EQ(A.IA->stats().ExitValuesMaterialized, ExitValues) << Depth;
+    const std::string Inner = "L" + std::to_string(Depth);
+    EXPECT_EQ(A.IA->strNested(A.cls(Inner, "k"), Depth + 1), InnermostK);
+  }
 }

@@ -1,4 +1,4 @@
-//===- tests/support_test.cpp - Rational/Affine/Matrix unit tests ------------===//
+//===- tests/support_test.cpp - Rational/Affine/Matrix/Lcg unit tests --------===//
 
 #include "support/Affine.h"
 #include "support/Lcg.h"
@@ -473,4 +473,40 @@ TEST(MatrixTest, MultiplyShapes) {
   EXPECT_EQ(P.cols(), 2u);
   // Row 0 of A = (0 1 2), col 0 of B = (0 1 2) -> 5.
   EXPECT_EQ(P.at(0, 0), Rational(5));
+}
+
+//===----------------------------------------------------------------------===//
+// Lcg
+//===----------------------------------------------------------------------===//
+
+TEST(LcgTest, RangeStaysInBounds) {
+  Lcg R(42);
+  for (int I = 0; I < 1000; ++I) {
+    int64_t V = R.range(-5, 17);
+    EXPECT_GE(V, -5);
+    EXPECT_LE(V, 17);
+  }
+}
+
+TEST(LcgTest, DegenerateRangeIsConstant) {
+  Lcg R(7);
+  for (int I = 0; I < 10; ++I)
+    EXPECT_EQ(R.range(3, 3), 3);
+}
+
+TEST(LcgTest, FullRangeDoesNotOverflow) {
+  // Hi - Lo + 1 wraps to 0 here; the old formula computed it in int64 and
+  // hit signed overflow (UB).  Any returned value is in range by definition;
+  // the test is that this is well-defined and deterministic.
+  Lcg A(11), B(11);
+  int64_t Lo = std::numeric_limits<int64_t>::min();
+  int64_t Hi = std::numeric_limits<int64_t>::max();
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(A.range(Lo, Hi), B.range(Lo, Hi));
+}
+
+TEST(LcgTest, Deterministic) {
+  Lcg A(123), B(123);
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(A.next(), B.next());
 }

@@ -3,11 +3,13 @@
 // The two transformations the paper motivates: peeling (section 4.1's
 // "standard compiler trick" for wrap-around variables) and strength
 // reduction (the introduction's classical companion of IV analysis), both
-// validated semantically against the interpreter.
+// validated semantically against the interpreter.  B6 pins their payoff on
+// generated workloads.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "WorkloadGen.h"
 #include "dependence/DependenceAnalyzer.h"
 #include "transform/LoopPeel.h"
 #include "transform/StrengthReduce.h"
@@ -25,6 +27,21 @@ const char *WrapSrc = "func l9(n) {"
                       "  }"
                       "  return 0;"
                       "}";
+
+/// \p Chains wrap-around reads in one loop: A_k[i] = A_k[w_k] + 1 with
+/// w_k = i after the read, so from the second iteration on each read trails
+/// the write by one.
+std::string wrapHeavySource(unsigned Chains) {
+  std::string Init, Body;
+  for (unsigned K = 0; K < Chains; ++K) {
+    std::string W = "w" + std::to_string(K);
+    Init += "  " + W + " = 90;\n";
+    Body += "    A" + std::to_string(K) + "[i] = A" + std::to_string(K) +
+            "[" + W + "] + 1;\n    " + W + " = i;\n";
+  }
+  return "func f(n) {\n" + Init + "  for L: i = 1 to 50 {\n" + Body +
+         "  }\n  return 0;\n}\n";
+}
 
 /// Runs Src through lowering (+ optional peel), SSA, and analysis.
 Analyzed analyzePeeled(const std::string &Src, const std::string &Loop,
@@ -186,6 +203,24 @@ TEST(PeelTest, PeeledBottomTestLoop) {
     expectSameBehaviour(*Ref, *Peeled.F, {N});
 }
 
+TEST(PeelTest, ClaimB6PeelClearsEveryWrapFlag) {
+  // Each chain's dependence holds only after one iteration until a peeled
+  // iteration turns its wrap-around into a plain IV.
+  for (unsigned Chains : {1u, 4u, 12u}) {
+    const std::string Src = wrapHeavySource(Chains);
+    auto flagged = [&Src](unsigned Peels) {
+      Analyzed A = analyzePeeled(Src, "L", Peels);
+      dependence::DependenceAnalyzer DA(*A.IA);
+      unsigned N = 0;
+      for (const dependence::Dependence &D : DA.analyze())
+        N += D.Result.ValidAfterIterations > 0;
+      return N;
+    };
+    EXPECT_EQ(flagged(0), Chains);
+    EXPECT_EQ(flagged(1), 0u) << Chains;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Strength reduction
 //===----------------------------------------------------------------------===//
@@ -296,6 +331,39 @@ TEST(StrengthReduceTest, NestedLoopsReduceInnermost) {
   EXPECT_GE(S.Reduced, 2u);
   ssa::verifySSAOrDie(*A.F);
   expectSameBehaviour(*Ref, *A.F, {0});
+}
+
+TEST(StrengthReduceTest, ClaimB6RemovesEveryChainMultiply) {
+  // Every linear multiply of a derived-IV chain goes, statically and as
+  // executed at n = 64: each one becomes an add in the latch.
+  auto dynMuls = [](const ir::Function &F) {
+    interp::ExecutionTrace T = interp::run(F, {64});
+    EXPECT_TRUE(T.ok()) << T.Error;
+    uint64_t M = 0;
+    for (const auto &BB : F.blocks())
+      for (const auto &I : *BB)
+        if (I->opcode() == ir::Opcode::Mul)
+          M += T.sequenceOf(I).size();
+    return M;
+  };
+  const struct {
+    unsigned Stmts;
+    unsigned Muls;
+    uint64_t DynMuls;
+  } Rows[] = {{30, 10, 640}, {100, 34, 2176}, {300, 101, 6464}};
+  for (const auto &[Stmts, Muls, DynMuls] : Rows) {
+    const std::string Src = bench::genLinearChain(Stmts);
+    auto Ref = frontend::parseAndLowerOrDie(Src);
+    ssa::buildSSA(*Ref);
+    Analyzed A = analyze(Src, /*RunSCCP=*/true);
+    EXPECT_EQ(countMuls(*A.F), Muls) << Stmts;
+    EXPECT_EQ(dynMuls(*A.F), DynMuls) << Stmts;
+    transform::strengthReduce(*A.IA);
+    ssa::verifySSAOrDie(*A.F);
+    EXPECT_EQ(countMuls(*A.F), 0u) << Stmts;
+    EXPECT_EQ(dynMuls(*A.F), 0u) << Stmts;
+    expectSameBehaviour(*Ref, *A.F, {64});
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -42,8 +42,8 @@ for FLAG in $FLAGS; do
 done
 
 # 2. Backtick-quoted repo paths.  Docs may name build-tree binaries
-# (`bench/bench_batch`, `tests/ivclass`); those count as long as the source
-# that produces them exists.
+# (`tools/bivc`, `tests/ivclass`); those count as long as the source that
+# produces them exists.
 PATHS=$(grep -hoE '`[A-Za-z0-9_./-]+`' $DOCS 2>/dev/null | tr -d '\140' |
   grep -E '^(src|tools|tests|bench|docs)/' | sort -u)
 for P in $PATHS; do
@@ -79,9 +79,9 @@ check_constant AnalysisVersionSalt src/cache/AnalysisCache.h
 check_constant CacheFormatVersion src/cache/AnalysisCache.h
 # Section 10: the daemon's wire protocol.
 check_constant ProtocolVersion src/server/Protocol.h
-# Section 11: the per-unit allocation ceiling, which bench/bench_batch.cpp
+# Section 11: the per-unit allocation ceiling, which tests/pipeline_test.cpp
 # asserts; doc and assertion must move together.
-check_constant MaxHeapAllocsPerUnit bench/bench_batch.cpp
+check_constant MaxHeapAllocsPerUnit tests/pipeline_test.cpp
 # Section 14: the summarizer's conjecture bounds.
 check_constant SummarizeMaxPeriod src/ivclass/Summarize.h
 check_constant SummarizeSampleCount src/ivclass/Summarize.h
