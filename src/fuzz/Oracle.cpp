@@ -26,6 +26,31 @@ std::string Mismatch::str() const {
 
 namespace {
 
+/// Step budget per execution.
+constexpr uint64_t MaxSteps = 4u << 20;
+
+/// Value claims are statements over mathematical integers, while execution
+/// wraps in two's-complement int64.  Once an observed sequence leaves this
+/// magnitude bound the two may legitimately diverge (a geometric update
+/// doubling past 2^63), so its value claims are skipped without counting.
+/// Structural checks (behavior, trip count, baseline) stay unguarded.
+constexpr int64_t ClaimValueBound = int64_t(1) << 31;
+
+bool exceedsClaimBound(const std::vector<int64_t> &Seq) {
+  for (int64_t V : Seq)
+    if (V > ClaimValueBound || V < -ClaimValueBound)
+      return true;
+  return false;
+}
+
+/// A claim whose exact evaluation left int64 on this run: symbols bound to
+/// wrapped runtime values make it unfalsifiable here, like a wrapped
+/// sequence.
+void noteOverflowSkip() {
+  static const stats::Counter NumOverflowSkips("fuzz.check.overflow_skips");
+  NumOverflowSkips.bump();
+}
+
 /// Renders the first elements of an observed sequence.
 std::string renderSeq(const std::vector<int64_t> &Seq, size_t Limit = 12) {
   std::ostringstream OS;
@@ -101,26 +126,14 @@ private:
                        const analysis::Loop *L,
                        const interp::ExecutionTrace &Post,
                        const SymbolEnv &Env);
-  void checkClosedForm(ivclass::InductionAnalysis &IA,
-                       const ivclass::Classification &C,
-                       const std::string &LoopName, const std::string &Name,
-                       const std::vector<int64_t> &Seq, const SymbolEnv &Env);
-  void checkWrapAround(ivclass::InductionAnalysis &IA,
-                       const ivclass::Classification &C,
-                       const std::string &LoopName, const std::string &Name,
-                       const std::vector<int64_t> &Seq, const SymbolEnv &Env);
-  void checkPeriodic(ivclass::InductionAnalysis &IA,
-                     const ivclass::Classification &C,
-                     const std::string &LoopName, const std::string &Name,
-                     const std::vector<int64_t> &Seq, const SymbolEnv &Env);
+  void checkValues(ivclass::InductionAnalysis &IA,
+                   const ivclass::Classification &C, const char *Check,
+                   unsigned &Count, const std::string &LoopName,
+                   const std::string &Name, const std::vector<int64_t> &Seq,
+                   const SymbolEnv &Env, int64_t Skew = 0);
   void checkMonotonic(const ivclass::Classification &C,
                       const std::string &LoopName, const std::string &Name,
                       const std::vector<int64_t> &Seq);
-  void checkPhasePeriodic(ivclass::InductionAnalysis &IA,
-                          const ivclass::Classification &C,
-                          const std::string &LoopName, const std::string &Name,
-                          const std::vector<int64_t> &Seq,
-                          const SymbolEnv &Env);
   void checkMemberClaims(ivclass::InductionAnalysis &IA,
                          const analysis::DominatorTree &DT,
                          const analysis::Loop *L,
@@ -164,7 +177,7 @@ OracleResult OracleRun::run() {
   }
 
   interp::ExecOptions EO;
-  EO.MaxSteps = Opts.MaxSteps;
+  EO.MaxSteps = MaxSteps;
   interp::ExecutionTrace Ref = interp::runWithArrays(*FRef, Args, Arrays, EO);
   if (!Ref.ok()) {
     mismatch("execution", "", "",
@@ -208,8 +221,7 @@ OracleResult OracleRun::run() {
       checkMemberClaims(IA, *P->DT, L.get(), Post, Env);
       checkTripCount(IA, L.get(), Post, Env);
     }
-    if (Opts.CheckBaseline)
-      checkBaseline(IA, L.get());
+    checkBaseline(IA, L.get());
   }
   return std::move(Result);
 }
@@ -253,71 +265,72 @@ void OracleRun::checkLoopClaims(ivclass::InductionAnalysis &IA,
   for (ir::Instruction *Phi : L->header()->phis()) {
     const ivclass::Classification &C = IA.classify(Phi, L);
     const std::vector<int64_t> &Seq = Post.sequenceOf(Phi);
-    if (Seq.size() < 2)
-      continue;
-    // Value claims hold over Z; once the run wraps int64 they are
-    // unfalsifiable by this execution, so skip (see ClaimValueBound).
-    bool Wrapped = false;
-    for (int64_t V : Seq)
-      if (V > Opts.ClaimValueBound || V < -Opts.ClaimValueBound) {
-        Wrapped = true;
-        break;
-      }
-    if (Wrapped)
+    if (Seq.size() < 2 || exceedsClaimBound(Seq))
       continue;
     const std::string Name(Phi->name());
-    // Claim evaluation runs in exact rational arithmetic; the sequence
-    // bound above limits observed values, but symbols bound by Env (values
-    // computed once outside the checked loop) can still be arbitrarily
-    // large wrapped int64s, so exact evaluation may overflow.  Like a
-    // wrapped sequence, that makes the claim unfalsifiable on this run.
-    try {
-      if (C.hasClosedForm())
-        checkClosedForm(IA, C, L->name(), Name, Seq, Env);
-      else if (C.isWrapAround())
-        checkWrapAround(IA, C, L->name(), Name, Seq, Env);
-      else if (C.isPeriodic())
-        checkPeriodic(IA, C, L->name(), Name, Seq, Env);
-      else if (C.isMonotonic())
-        checkMonotonic(C, L->name(), Name, Seq);
-      else if (C.isPhasePeriodic())
-        checkPhasePeriodic(IA, C, L->name(), Name, Seq, Env);
-    } catch (const RationalOverflow &) {
-      static const stats::Counter NumOverflowSkips(
-          "fuzz.check.overflow_skips");
-      NumOverflowSkips.bump();
+    CheckCounts &N = Result.Checks;
+    if (C.isMonotonic()) {
+      checkMonotonic(C, L->name(), Name, Seq);
+    } else if (C.isWrapAround() && C.Inner && C.Inner->isMonotonic()) {
+      // Only the tail past the prefix is claimed to move one way.
+      if (Seq.size() >= C.WrapOrder + 2)
+        checkMonotonic(*C.Inner, L->name(), Name,
+                       {Seq.begin() + C.WrapOrder, Seq.end()});
+    } else if (C.hasClosedForm()) {
+      // The c-finite extension (polynomial coefficients on exponential
+      // terms) counts as its own category so campaigns can assert it keeps
+      // firing.
+      checkValues(IA, C, "closed-form",
+                  C.Form.hasPolyExponential() ? N.CFinite : N.ClosedForm,
+                  L->name(), Name, Seq, Env,
+                  C.isLinear() ? Opts.InjectLinearSkew : 0);
+    } else if (C.isWrapAround()) {
+      checkValues(IA, C, "wrap-around", N.WrapAround, L->name(), Name, Seq,
+                  Env);
+    } else if (C.isPeriodic()) {
+      checkValues(IA, C, "periodic", N.Periodic, L->name(), Name, Seq, Env);
+    } else if (C.isPhasePeriodic()) {
+      checkValues(IA, C, "phase-periodic", N.PhasePeriodic, L->name(), Name,
+                  Seq, Env);
     }
   }
 }
 
-void OracleRun::checkClosedForm(ivclass::InductionAnalysis &IA,
-                                const ivclass::Classification &C,
-                                const std::string &LoopName,
-                                const std::string &Name,
-                                const std::vector<int64_t> &Seq,
-                                const SymbolEnv &Env) {
+void OracleRun::checkValues(ivclass::InductionAnalysis &IA,
+                            const ivclass::Classification &C,
+                            const char *Check, unsigned &Count,
+                            const std::string &LoopName,
+                            const std::string &Name,
+                            const std::vector<int64_t> &Seq,
+                            const SymbolEnv &Env, int64_t Skew) {
+  // Every observed value must be the claimed one, valueAt(h) with symbols
+  // bound to their runtime values; a wrap-around prefix claims nothing.
+  // An unbound symbol or a non-integer value makes the claim uncheckable on
+  // this run, and so does exact evaluation leaving int64.
   bool Checked = false;
-  for (size_t H = 0; H < Seq.size(); ++H) {
-    std::optional<int64_t> Expected = Env.eval(C.Form.evaluateAt(H));
-    if (!Expected)
-      return; // unbound symbol: claim not checkable on this run
-    if (C.Kind == ivclass::IVKind::Linear)
-      *Expected += Opts.InjectLinearSkew * int64_t(H);
-    Checked = true;
-    if (*Expected != Seq[H]) {
-      mismatch("closed-form", LoopName, Name, IA.strNested(C),
-               renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
-                   " at h=" + std::to_string(H) + ", form gives " +
-                   std::to_string(*Expected) + ")");
-      return;
+  try {
+    for (size_t H = 0; H < Seq.size(); ++H) {
+      std::optional<Affine> V = C.valueAt(int64_t(H));
+      if (!V)
+        continue;
+      std::optional<int64_t> Expected = Env.eval(*V);
+      if (!Expected)
+        return;
+      *Expected += Skew * int64_t(H);
+      Checked = true;
+      if (*Expected != Seq[H]) {
+        mismatch(Check, LoopName, Name, IA.strNested(C),
+                 renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
+                     " at h=" + std::to_string(H) + ", claim gives " +
+                     std::to_string(*Expected) + ")");
+        return;
+      }
     }
+  } catch (const RationalOverflow &) {
+    noteOverflowSkip();
+    return;
   }
-  // The c-finite extension (polynomial coefficients on exponential terms)
-  // counts as its own category so campaigns can assert it keeps firing.
-  if (C.Form.hasPolyExponential())
-    Result.Checks.CFinite += Checked;
-  else
-    Result.Checks.ClosedForm += Checked;
+  Count += Checked;
 }
 
 void OracleRun::checkMemberClaims(ivclass::InductionAnalysis &IA,
@@ -348,147 +361,12 @@ void OracleRun::checkMemberClaims(ivclass::InductionAnalysis &IA,
       if (!C.Partial || !C.hasClosedForm())
         continue;
       const std::vector<int64_t> &Seq = Post.sequenceOf(I);
-      if (Seq.empty())
+      if (Seq.empty() || exceedsClaimBound(Seq))
         continue;
-      // Same int64-wrap guard as the header-phi claims.
-      bool Wrapped = false;
-      for (int64_t V : Seq)
-        if (V > Opts.ClaimValueBound || V < -Opts.ClaimValueBound) {
-          Wrapped = true;
-          break;
-        }
-      if (Wrapped)
-        continue;
-      try {
-        bool Checked = false;
-        bool Failed = false;
-        for (size_t H = 0; H < Seq.size() && !Failed; ++H) {
-          std::optional<int64_t> Expected = Env.eval(C.Form.evaluateAt(H));
-          if (!Expected) {
-            Checked = false;
-            break; // unbound symbol: not checkable on this run
-          }
-          Checked = true;
-          if (*Expected != Seq[H]) {
-            mismatch("partial", L->name(), std::string(I->name()),
-                     IA.strNested(C),
-                     renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
-                         " at h=" + std::to_string(H) + ", form gives " +
-                         std::to_string(*Expected) + ")");
-            Failed = true;
-          }
-        }
-        Result.Checks.Partial += Checked;
-      } catch (const RationalOverflow &) {
-        static const stats::Counter NumOverflowSkips(
-            "fuzz.check.overflow_skips");
-        NumOverflowSkips.bump();
-      }
+      checkValues(IA, C, "partial", Result.Checks.Partial, L->name(),
+                  std::string(I->name()), Seq, Env);
     }
   }
-}
-
-void OracleRun::checkWrapAround(ivclass::InductionAnalysis &IA,
-                                const ivclass::Classification &C,
-                                const std::string &LoopName,
-                                const std::string &Name,
-                                const std::vector<int64_t> &Seq,
-                                const SymbolEnv &Env) {
-  const ivclass::Classification *Inner = C.Inner.get();
-  if (!Inner || Seq.size() <= C.WrapOrder)
-    return;
-  // After `order` iterations the value follows the inner class, shifted:
-  // phi(h) = inner(h - order).
-  if (Inner->hasClosedForm()) {
-    bool Checked = false;
-    for (size_t H = C.WrapOrder; H < Seq.size(); ++H) {
-      std::optional<int64_t> Expected =
-          Env.eval(Inner->Form.evaluateAt(int64_t(H - C.WrapOrder)));
-      if (!Expected)
-        return;
-      Checked = true;
-      if (*Expected != Seq[H]) {
-        mismatch("wrap-around", LoopName, Name, IA.strNested(C),
-                 renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
-                     " at h=" + std::to_string(H) + ", inner form gives " +
-                     std::to_string(*Expected) + ")");
-        return;
-      }
-    }
-    Result.Checks.WrapAround += Checked;
-  } else if (Inner->isPeriodic() && !Inner->RingInits.empty()) {
-    for (size_t H = C.WrapOrder; H < Seq.size(); ++H) {
-      size_t Idx = (Inner->Phase + (H - C.WrapOrder)) % Inner->Period;
-      std::optional<int64_t> Expected = Env.eval(Inner->RingInits[Idx]);
-      if (!Expected)
-        return;
-      if (*Expected != Seq[H]) {
-        mismatch("wrap-around", LoopName, Name, IA.strNested(C),
-                 renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
-                     " at h=" + std::to_string(H) + ", inner ring gives " +
-                     std::to_string(*Expected) + ")");
-        return;
-      }
-    }
-    ++Result.Checks.WrapAround;
-  } else if (Inner->isPhasePeriodic() && Inner->Period >= 2 &&
-             Inner->PhaseForms.size() == Inner->Period) {
-    // Summarized reset variables land here: the solved per-phase forms
-    // only cover cycles past the peeled prefix, so the whole tuple rides
-    // behind a wrap-around whose order is a multiple of the period.
-    bool Checked = false;
-    for (size_t H = C.WrapOrder; H < Seq.size(); ++H) {
-      const size_t HS = H - C.WrapOrder;
-      std::optional<int64_t> Expected =
-          Env.eval(Inner->PhaseForms[HS % Inner->Period].evaluateAt(
-              int64_t(HS / Inner->Period)));
-      if (!Expected)
-        return;
-      Checked = true;
-      if (*Expected != Seq[H]) {
-        mismatch("wrap-around", LoopName, Name, IA.strNested(C),
-                 renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
-                     " at h=" + std::to_string(H) +
-                     ", inner phase form gives " + std::to_string(*Expected) +
-                     ")");
-        return;
-      }
-    }
-    Result.Checks.WrapAround += Checked;
-  } else if (Inner->isMonotonic()) {
-    std::vector<int64_t> Tail(Seq.begin() + C.WrapOrder, Seq.end());
-    if (Tail.size() >= 2)
-      checkMonotonic(*Inner, LoopName, Name, Tail);
-  }
-}
-
-void OracleRun::checkPeriodic(ivclass::InductionAnalysis &IA,
-                              const ivclass::Classification &C,
-                              const std::string &LoopName,
-                              const std::string &Name,
-                              const std::vector<int64_t> &Seq,
-                              const SymbolEnv &Env) {
-  if (C.Period == 0 || C.RingInits.size() != C.Period)
-    return;
-  for (size_t H = 0; H < Seq.size(); ++H) {
-    // value(h) = PScale * ring[(phase + h) mod p] + POffset.
-    std::optional<int64_t> Member =
-        Env.eval(C.RingInits[(C.Phase + H) % C.Period]);
-    std::optional<int64_t> Offset = Env.eval(C.POffset);
-    if (!Member || !Offset)
-      return;
-    Rational R = C.PScale * Rational(*Member) + Rational(*Offset);
-    if (!R.isInteger())
-      return;
-    if (R.getInteger() != Seq[H]) {
-      mismatch("periodic", LoopName, Name, IA.strNested(C),
-               renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
-                   " at h=" + std::to_string(H) + ", ring gives " +
-                   std::to_string(R.getInteger()) + ")");
-      return;
-    }
-  }
-  ++Result.Checks.Periodic;
 }
 
 void OracleRun::checkMonotonic(const ivclass::Classification &C,
@@ -511,34 +389,6 @@ void OracleRun::checkMonotonic(const ivclass::Classification &C,
     }
   }
   ++Result.Checks.Monotonic;
-}
-
-void OracleRun::checkPhasePeriodic(ivclass::InductionAnalysis &IA,
-                                   const ivclass::Classification &C,
-                                   const std::string &LoopName,
-                                   const std::string &Name,
-                                   const std::vector<int64_t> &Seq,
-                                   const SymbolEnv &Env) {
-  if (C.Period < 2 || C.PhaseForms.size() != C.Period)
-    return;
-  // value(h) = PhaseForms[h mod k] evaluated at cycle index c = h div k.
-  bool Checked = false;
-  for (size_t H = 0; H < Seq.size(); ++H) {
-    const ivclass::ClosedForm &Form = C.PhaseForms[H % C.Period];
-    std::optional<int64_t> Expected =
-        Env.eval(Form.evaluateAt(int64_t(H / C.Period)));
-    if (!Expected)
-      return; // unbound symbol: claim not checkable on this run
-    Checked = true;
-    if (*Expected != Seq[H]) {
-      mismatch("phase-periodic", LoopName, Name, IA.strNested(C),
-               renderSeq(Seq) + " (value " + std::to_string(Seq[H]) +
-                   " at h=" + std::to_string(H) + ", phase form gives " +
-                   std::to_string(*Expected) + ")");
-      return;
-    }
-  }
-  Result.Checks.PhasePeriodic += Checked;
 }
 
 void OracleRun::checkTripCount(ivclass::InductionAnalysis &IA,
@@ -581,10 +431,8 @@ void OracleRun::checkTripCount(ivclass::InductionAnalysis &IA,
   }
   } catch (const RationalOverflow &) {
     // Symbolic counts evaluated over wrapped runtime bindings can leave
-    // int64 rationals; the claim is unfalsifiable on this run (see the
-    // matching guard in checkLoopClaims).
-    static const stats::Counter NumOverflowSkips("fuzz.check.overflow_skips");
-    NumOverflowSkips.bump();
+    // int64 rationals.
+    noteOverflowSkip();
   }
 }
 

@@ -11,16 +11,14 @@
 /// check every claim the classifier emitted against the observed trace.
 ///
 /// Checks, per top-level loop:
-///  - closed forms (invariant/linear/polynomial/geometric) reproduce the
-///    observed sequence at every iteration h = 0..T, with argument symbols
-///    and once-computed loop-external instructions bound to their runtime
-///    values;
-///  - wrap-around variables match their inner form shifted by `order` after
-///    the first `order` iterations (tail checks for periodic/monotonic
-///    inners included);
-///  - periodic members follow RingInits[(phase + h) mod period] through the
-///    PScale/POffset affine image;
-///  - monotonic claims hold with the stated direction and strictness;
+///  - every value claim -- closed forms, c-finite and partial forms,
+///    wrap-arounds past their prefix, periodic members through their
+///    PScale/POffset image, phase-periodic tuples -- reproduces the observed
+///    sequence as Classification::valueAt(h) at every iteration h = 0..T,
+///    with argument symbols and once-computed loop-external instructions
+///    bound to their runtime values;
+///  - monotonic claims (and the tails of wrap-arounds into monotonic
+///    variables) hold with the stated direction and strictness;
 ///  - countable trip counts equal observed header visits minus one, and
 ///    multi-exit MaxCount bounds them.
 ///
@@ -53,24 +51,12 @@ struct OracleOptions {
   /// Argument values for the executions (programs take one parameter `n`;
   /// extra values are ignored by functions with fewer parameters).
   std::vector<int64_t> Args = {6};
-  /// Step budget per execution.
-  uint64_t MaxSteps = 4u << 20;
   /// Seed array A's cells [-32, 64] with mixed-sign values derived from
   /// this seed so data-dependent branches take both sides.
   uint64_t ArraySeed = 1;
-  /// Check classical-IV subsumption (classifier superset of baseline).
-  bool CheckBaseline = true;
   /// Run the multi-branch summarizer (ivclass --summarize) in the analyzed
   /// build, so its phase-periodic claims are generated and checked.
   bool Summarize = false;
-  /// Per-value claims (closed form, wrap-around, periodic, monotonic) are
-  /// statements over mathematical integers, while execution wraps in
-  /// two's-complement int64.  When an observed sequence leaves this
-  /// magnitude bound the two semantics may legitimately diverge (e.g. a
-  /// geometric update doubling past 2^63), so those claims are skipped --
-  /// without counting toward CheckCounts.  Structural checks (behavior,
-  /// trip count, baseline) stay unguarded.
-  int64_t ClaimValueBound = int64_t(1) << 31;
 
   /// Test-only fault injection: skews every *linear* closed-form prediction
   /// by `Skew * h`, making correct classifications look wrong.  Exercises

@@ -145,6 +145,29 @@ bool Classification::isFlipFlop() const {
   return false;
 }
 
+std::optional<Affine> Classification::valueAt(int64_t H) const {
+  const Classification *C = this;
+  // phi(h) = inner(h - order) once h clears the prefix.
+  for (; C->isWrapAround(); C = C->Inner.get()) {
+    if (!C->Inner || H < int64_t(C->WrapOrder))
+      return std::nullopt;
+    H -= int64_t(C->WrapOrder);
+  }
+  if (H < 0)
+    return std::nullopt;
+  if (C->hasClosedForm())
+    return C->Form.evaluateAt(H);
+  if (C->Period < 2)
+    return std::nullopt;
+  if (C->isPeriodic() && C->RingInits.size() == C->Period)
+    return C->RingInits[(C->Phase + uint64_t(H)) % C->Period] * C->PScale +
+           C->POffset;
+  if (C->isPhasePeriodic() && C->PhaseForms.size() == C->Period)
+    return C->PhaseForms[uint64_t(H) % C->Period].evaluateAt(
+        H / int64_t(C->Period));
+  return std::nullopt;
+}
+
 std::string Classification::str(const SymbolNamer &Namer) const {
   const std::string LoopName = L ? L->name() : "?";
   // Values projected out of an unsolvable region carry a marker: the form
@@ -180,7 +203,11 @@ std::string Classification::str(const SymbolNamer &Namer) const {
         Out += ", ";
       Out += RingInits[I].str(Namer);
     }
-    return Out + "])";
+    Out += "]";
+    // The value is PScale * member + POffset; the identity image is implied.
+    if (!PScale.isOne() || !POffset.isZero())
+      Out += ", scale " + PScale.str() + ", offset " + POffset.str(Namer);
+    return Out + ")";
   }
   case IVKind::Monotonic:
     return std::string("monotonic ") +

@@ -172,6 +172,14 @@ public:
   /// (the paper's `j = c - j`) also satisfy this.
   bool isFlipFlop() const;
 
+  /// The value on iteration \p H >= 0: a closed form at h, a periodic
+  /// member's ring slot through its PScale/POffset image, a phase-periodic
+  /// tuple's phase form at the cycle index, and a wrap-around's inner value
+  /// at h - order.  nullopt inside a wrap-around prefix, for monotonic and
+  /// unknown values, and for a ring or phase tuple whose size is not Period.
+  /// Throws RationalOverflow like ClosedForm::evaluateAt.
+  std::optional<Affine> valueAt(int64_t H) const;
+
   /// Renders the paper's tuple syntax, e.g. "(L18, k2+2, 2)" for linear,
   /// "(L14, 2, 3/2, 1/2)" for polynomial, "wrap-around(order 1, linear ...)"
   /// etc.  \p Namer resolves affine symbols (usually to IR value names).

@@ -4,6 +4,7 @@
 #include "ivclass/RecurrenceSolver.h"
 #include "ivclass/SSAGraph.h"
 #include "ivclass/Summarize.h"
+#include "ivclass/VecForm.h"
 #include "ir/AffineOrder.h"
 #include "support/Stats.h"
 #include <algorithm>
@@ -50,7 +51,56 @@ Classification &ClassTable::getOrCreate(const ir::Value *V, bool &Created) {
   return **Slot;
 }
 
+const Classification &ClassTable::classOf(const ir::Value *V) {
+  bool Created = false;
+  Classification &C = getOrCreate(V, Created);
+  if (Created)
+    C = InductionAnalysis::classifyExternal(V, L);
+  return C;
+}
+
+//===----------------------------------------------------------------------===//
+// Header phis
+//===----------------------------------------------------------------------===//
+
+bool biv::ivclass::splitHeaderPhi(const ir::Instruction *Phi,
+                                  const analysis::Loop *L, ir::Value *&Init,
+                                  ir::Value *&Carried) {
+  Init = Carried = nullptr;
+  for (unsigned Idx = 0; Idx < Phi->numOperands(); ++Idx) {
+    if (L->contains(Phi->blocks()[Idx])) {
+      if (Carried)
+        return false;
+      Carried = Phi->operand(Idx);
+    } else {
+      if (Init)
+        return false;
+      Init = Phi->operand(Idx);
+    }
+  }
+  return Init && Carried;
+}
+
+Affine biv::ivclass::headerPhiInit(const ir::Value *Init,
+                                   const analysis::Loop *L) {
+  Classification IC = InductionAnalysis::classifyExternal(Init, L);
+  return IC.isInvariant() ? IC.Form.initialValue() : Affine::symbol(Init);
+}
+
+ir::Value *biv::ivclass::chaseCopies(ir::Value *V) {
+  while (auto *I = ir::dyn_cast<ir::Instruction>(V)) {
+    if (I->opcode() != ir::Opcode::Copy)
+      break;
+    V = I->operand(0);
+  }
+  return V;
+}
+
 namespace {
+
+/// Cap on the number of distinct (A, B) symbolic values tracked per node
+/// during SCR evaluation (paths through nested conditionals).
+constexpr size_t MaxSymbolicPaths = 64;
 
 /// A symbolic value during SCR evaluation: A * X + B(h), where X is the
 /// value of the region's loop-header phi on the current iteration.
@@ -127,14 +177,6 @@ public:
   }
 
 private:
-  const Classification &classOf(const ir::Value *V) {
-    bool Created = false;
-    Classification &C = Map.getOrCreate(V, Created);
-    if (Created)
-      C = IA.classifyExternal(V, L);
-    return C;
-  }
-
   void setClass(const ir::Instruction *I, Classification C) {
     bool Created = false;
     Map.getOrCreate(I, Created) = std::move(C);
@@ -164,9 +206,9 @@ private:
   /// value fits the carried sequence.
   Classification classifyHeaderPhi(ir::Instruction *Phi) {
     ir::Value *Init = nullptr, *Carried = nullptr;
-    if (!splitHeaderPhi(Phi, Init, Carried))
+    if (!splitHeaderPhi(Phi, L, Init, Carried))
       return Classification::unknown();
-    const Classification &CC = classOf(Carried);
+    const Classification &CC = Map.classOf(Carried);
 
     if (CC.hasClosedForm()) {
       // phi(h) = carried(h-1); does the initial value fit the sequence?
@@ -194,7 +236,7 @@ private:
   Classification classifyMergePhi(ir::Instruction *Phi) {
     std::optional<ClosedForm> Common;
     for (ir::Value *Op : Phi->operands()) {
-      const Classification &C = classOf(Op);
+      const Classification &C = Map.classOf(Op);
       if (!C.hasClosedForm())
         return Classification::unknown();
       if (!Common)
@@ -214,30 +256,32 @@ private:
   Classification classifyOperation(ir::Instruction *I) {
     switch (I->opcode()) {
     case ir::Opcode::Copy:
-      return classOf(I->operand(0));
+      return Map.classOf(I->operand(0));
     case ir::Opcode::Neg:
-      return negateClass(classOf(I->operand(0)));
+      return negateClass(Map.classOf(I->operand(0)));
     case ir::Opcode::Add:
-      return addClasses(classOf(I->operand(0)), classOf(I->operand(1)));
+      return addClasses(Map.classOf(I->operand(0)), Map.classOf(I->operand(1)));
     case ir::Opcode::Sub:
-      return addClasses(classOf(I->operand(0)),
-                        negateClass(classOf(I->operand(1))));
+      return addClasses(Map.classOf(I->operand(0)),
+                        negateClass(Map.classOf(I->operand(1))));
     case ir::Opcode::Mul:
-      return mulClasses(I, classOf(I->operand(0)), classOf(I->operand(1)));
+      return mulClasses(I, Map.classOf(I->operand(0)),
+                        Map.classOf(I->operand(1)));
     case ir::Opcode::Div:
-      if (classOf(I->operand(0)).isInvariant() &&
-          classOf(I->operand(1)).isInvariant())
+      if (Map.classOf(I->operand(0)).isInvariant() &&
+          Map.classOf(I->operand(1)).isInvariant())
         return Classification::invariant(Affine::symbol(I));
       return Classification::unknown();
     case ir::Opcode::Exp:
-      return expClasses(I, classOf(I->operand(0)), classOf(I->operand(1)));
+      return expClasses(I, Map.classOf(I->operand(0)),
+                        Map.classOf(I->operand(1)));
     case ir::Opcode::ArrayLoad: {
       // The paper's indexed-load rule: invariant address and no stores to
       // the array inside the loop make the load invariant.
       if (StoredArrays.count(I->array()))
         return Classification::unknown();
       for (ir::Value *Op : I->operands())
-        if (!classOf(Op).isInvariant())
+        if (!Map.classOf(Op).isInvariant())
           return Classification::unknown();
       return Classification::invariant(Affine::symbol(I));
     }
@@ -249,8 +293,8 @@ private:
     case ir::Opcode::CmpGE:
       // A comparison of invariants is an invariant 0/1 value (used by
       // nested-loop bounds); anything else is not tracked.
-      if (classOf(I->operand(0)).isInvariant() &&
-          classOf(I->operand(1)).isInvariant())
+      if (Map.classOf(I->operand(0)).isInvariant() &&
+          Map.classOf(I->operand(1)).isInvariant())
         return Classification::invariant(Affine::symbol(I));
       return Classification::unknown();
     default:
@@ -450,25 +494,6 @@ private:
   // Nontrivial regions
   //===------------------------------------------------------------------===//
 
-  /// Splits a header phi into (init from outside, carried from inside).
-  /// Fails for multi-latch headers.
-  bool splitHeaderPhi(ir::Instruction *Phi, ir::Value *&Init,
-                      ir::Value *&Carried) {
-    Init = Carried = nullptr;
-    for (unsigned Idx = 0; Idx < Phi->numOperands(); ++Idx) {
-      if (L->contains(Phi->blocks()[Idx])) {
-        if (Carried)
-          return false;
-        Carried = Phi->operand(Idx);
-      } else {
-        if (Init)
-          return false;
-        Init = Phi->operand(Idx);
-      }
-    }
-    return Init && Carried;
-  }
-
   void classifyRegion(const SCR &Region) {
     for (const ir::Instruction *N : Region.Nodes)
       InSCRMask[N->seq()] = 1;
@@ -520,16 +545,6 @@ private:
     return NonCopy == HeaderPhis.size();
   }
 
-  /// Chases Copy instructions to the underlying value.
-  ir::Value *chaseCopies(ir::Value *V) {
-    while (auto *I = ir::dyn_cast<ir::Instruction>(V)) {
-      if (I->opcode() != ir::Opcode::Copy)
-        break;
-      V = I->operand(0);
-    }
-    return V;
-  }
-
   bool classifyPeriodic(const SCR &Region,
                         const std::vector<ir::Instruction *> &HeaderPhis) {
     const unsigned P = HeaderPhis.size();
@@ -544,7 +559,7 @@ private:
       PhaseOf[Cur] = Step;
       Ring.push_back(Cur);
       ir::Value *Init = nullptr, *Carried = nullptr;
-      if (!splitHeaderPhi(Cur, Init, Carried))
+      if (!splitHeaderPhi(Cur, L, Init, Carried))
         return false;
       auto *Next = ir::dyn_cast<ir::Instruction>(chaseCopies(Carried));
       if (!Next || !inSCR(Next) || !Next->isPhi())
@@ -558,10 +573,8 @@ private:
     std::vector<Affine> Inits;
     for (ir::Instruction *Phi : Ring) {
       ir::Value *Init = nullptr, *Carried = nullptr;
-      splitHeaderPhi(Phi, Init, Carried);
-      Classification IC = IA.classifyExternal(Init, L);
-      Inits.push_back(IC.isInvariant() ? IC.Form.initialValue()
-                                       : Affine::symbol(Init));
+      splitHeaderPhi(Phi, L, Init, Carried);
+      Inits.push_back(headerPhiInit(Init, L));
     }
     unsigned FamilyId = NextFamilyId++;
     ++S.PeriodicFamilies;
@@ -596,7 +609,7 @@ private:
     auto *I = ir::dyn_cast<ir::Instruction>(V);
     if (I && inSCR(I))
       return evalInst(I, H, Memo);
-    const Classification &C = classOf(V);
+    const Classification &C = Map.classOf(V);
     if (C.hasClosedForm())
       return SymSet{{Rational(0), C.Form, {}}};
     return std::nullopt;
@@ -626,7 +639,7 @@ private:
           T->Through.insert(Y.Through.begin(), Y.Through.end());
           addTerm(Out, std::move(*T));
         }
-      if (Out.size() > Opts.MaxSymbolicPaths)
+      if (Out.size() > MaxSymbolicPaths)
         return std::nullopt;
       return Out;
     };
@@ -645,7 +658,7 @@ private:
         for (LinTerm &T : *OpSet)
           addTerm(Out, std::move(T));
       }
-      if (OK && Out.size() <= Opts.MaxSymbolicPaths)
+      if (OK && Out.size() <= MaxSymbolicPaths)
         Result = std::move(Out);
       break;
     }
@@ -728,13 +741,11 @@ private:
 
   void classifySingleHeader(const SCR &Region, ir::Instruction *H) {
     ir::Value *InitV = nullptr, *CarriedV = nullptr;
-    if (!splitHeaderPhi(H, InitV, CarriedV)) {
+    if (!splitHeaderPhi(H, L, InitV, CarriedV)) {
       markAllUnknown(Region);
       return;
     }
-    Classification InitC = IA.classifyExternal(InitV, L);
-    Affine Init = InitC.isInvariant() ? InitC.Form.initialValue()
-                                      : Affine::symbol(InitV);
+    const Affine Init = headerPhiInit(InitV, L);
 
     EvalMemo Memo;
     Memo.reserve(Region.Nodes.size() * 2);
@@ -820,125 +831,42 @@ private:
   // Coupled systems: several header phis updated linearly in each other
   //===------------------------------------------------------------------===//
 
-  /// A value linear in the region's header-phi vector:
-  /// sum_j A[j] * X_j + B.  The single-path counterpart of LinTerm for
-  /// systems (control-flow merges inside the region are out of scope; the
-  /// monotonic machinery does not apply to vectors anyway).
-  struct VecTerm {
-    std::vector<Rational> A;
-    ClosedForm B;
-  };
-  using VecMemo =
-      std::unordered_map<const ir::Instruction *, std::optional<VecTerm>>;
+  /// Region values as VecForms over the header-phi vector: the single-path
+  /// counterpart of LinTerm for systems (control-flow merges inside the
+  /// region are out of scope; the monotonic machinery does not apply to
+  /// vectors anyway).
   using PhiIndexMap = std::map<const ir::Instruction *, unsigned>;
 
-  std::optional<VecTerm> evalVecValue(ir::Value *V, const PhiIndexMap &PhiIdx,
+  std::optional<VecForm> evalVecValue(ir::Value *V, const PhiIndexMap &PhiIdx,
                                       VecMemo &Memo) {
     const unsigned K = unsigned(PhiIdx.size());
     if (auto *I = ir::dyn_cast<ir::Instruction>(V)) {
       auto PIt = PhiIdx.find(I);
       if (PIt != PhiIdx.end()) {
-        VecTerm T{std::vector<Rational>(K), ClosedForm()};
+        VecForm T{std::vector<Rational>(K), ClosedForm()};
         T.A[PIt->second] = Rational(1);
         return T;
       }
       if (inSCR(I))
         return evalVecInst(I, PhiIdx, Memo);
     }
-    const Classification &C = classOf(V);
+    const Classification &C = Map.classOf(V);
     if (C.hasClosedForm())
-      return VecTerm{std::vector<Rational>(K), C.Form};
+      return VecForm{std::vector<Rational>(K), C.Form};
     return std::nullopt;
   }
 
-  std::optional<VecTerm> evalVecInst(ir::Instruction *I,
+  std::optional<VecForm> evalVecInst(ir::Instruction *I,
                                      const PhiIndexMap &PhiIdx,
                                      VecMemo &Memo) {
     auto It = Memo.find(I);
     if (It != Memo.end())
       return It->second;
     Memo[I] = std::nullopt;
-
-    auto isFree = [](const VecTerm &T) {
-      for (const Rational &R : T.A)
-        if (!R.isZero())
-          return false;
-      return true;
-    };
-    auto combine2 = [&](auto &&Fn) -> std::optional<VecTerm> {
-      std::optional<VecTerm> X = evalVecValue(I->operand(0), PhiIdx, Memo);
-      std::optional<VecTerm> Y = evalVecValue(I->operand(1), PhiIdx, Memo);
-      if (!X || !Y)
-        return std::nullopt;
-      return Fn(*X, *Y);
-    };
-
-    std::optional<VecTerm> Result;
-    switch (I->opcode()) {
-    case ir::Opcode::Copy:
-      Result = evalVecValue(I->operand(0), PhiIdx, Memo);
-      break;
-    case ir::Opcode::Neg: {
-      std::optional<VecTerm> Sub = evalVecValue(I->operand(0), PhiIdx, Memo);
-      if (Sub) {
-        for (Rational &R : Sub->A)
-          R = -R;
-        Sub->B = -Sub->B;
-        Result = std::move(Sub);
-      }
-      break;
-    }
-    case ir::Opcode::Add:
-      Result = combine2([](VecTerm &X, VecTerm &Y) -> std::optional<VecTerm> {
-        for (size_t J = 0; J < X.A.size(); ++J)
-          X.A[J] = X.A[J] + Y.A[J];
-        X.B = X.B + Y.B;
-        return std::move(X);
-      });
-      break;
-    case ir::Opcode::Sub:
-      Result = combine2([](VecTerm &X, VecTerm &Y) -> std::optional<VecTerm> {
-        for (size_t J = 0; J < X.A.size(); ++J)
-          X.A[J] = X.A[J] - Y.A[J];
-        X.B = X.B - Y.B;
-        return std::move(X);
-      });
-      break;
-    case ir::Opcode::Mul:
-      Result = combine2(
-          [&](VecTerm &X, VecTerm &Y) -> std::optional<VecTerm> {
-            auto scaled = [](VecTerm &Var,
-                             const VecTerm &Const) -> std::optional<VecTerm> {
-              std::optional<Rational> C =
-                  Const.B.isInvariant()
-                      ? Const.B.initialValue().getConstant()
-                      : std::nullopt;
-              if (!C)
-                return std::nullopt;
-              for (Rational &R : Var.A)
-                R = R * *C;
-              Var.B = Var.B * *C;
-              return std::move(Var);
-            };
-            if (isFree(X) && isFree(Y)) {
-              std::optional<ClosedForm> P = X.B.mulChecked(Y.B);
-              if (!P)
-                return std::nullopt;
-              return VecTerm{std::vector<Rational>(X.A.size()),
-                             std::move(*P)};
-            }
-            if (isFree(Y))
-              return scaled(X, Y);
-            if (isFree(X))
-              return scaled(Y, X);
-            return std::nullopt;
-          });
-      break;
-    default:
-      // Phis inside the region (per-path values) and non-linear ops are out
-      // of scope for the system evaluator.
-      break;
-    }
+    // Phis inside the region (per-path values) are out of scope here.
+    std::optional<VecForm> Result = applyVecOp(I, [&](ir::Value *V) {
+      return evalVecValue(V, PhiIdx, Memo);
+    });
     Memo[I] = Result;
     return Result;
   }
@@ -966,14 +894,12 @@ private:
     bool Evaluated = true;
     for (unsigned I = 0; I < K && Evaluated; ++I) {
       ir::Value *InitV = nullptr, *CarriedV = nullptr;
-      if (!splitHeaderPhi(HeaderPhis[I], InitV, CarriedV)) {
+      if (!splitHeaderPhi(HeaderPhis[I], L, InitV, CarriedV)) {
         Evaluated = false;
         break;
       }
-      Classification InitC = IA.classifyExternal(InitV, L);
-      Init[I] = InitC.isInvariant() ? InitC.Form.initialValue()
-                                    : Affine::symbol(InitV);
-      std::optional<VecTerm> T = evalVecValue(CarriedV, PhiIdx, Memo);
+      Init[I] = headerPhiInit(InitV, L);
+      std::optional<VecForm> T = evalVecValue(CarriedV, PhiIdx, Memo);
       if (!T) {
         Evaluated = false;
         break;
@@ -1027,7 +953,7 @@ private:
     return true;
   }
 
-  /// Closed form of a system-region member from its memoized VecTerm:
+  /// Closed form of a system-region member from its memoized VecForm:
   /// sum_j A[j] * Sol[j] + B, defined when every component with a nonzero
   /// coefficient solved.
   std::optional<ClosedForm>
@@ -1036,7 +962,7 @@ private:
     auto It = Memo.find(N);
     if (It == Memo.end() || !It->second)
       return std::nullopt;
-    const VecTerm &T = *It->second;
+    const VecForm &T = *It->second;
     ClosedForm Form = T.B;
     for (size_t J = 0; J < T.A.size(); ++J) {
       if (T.A[J].isZero())
@@ -1239,16 +1165,12 @@ void InductionAnalysis::processLoop(const analysis::Loop *L) {
       });
   TripCounts[L->index()] = TC;
   if (Opts.MaterializeExitValues)
-    materializeExitValues(L, TC);
+    materializeExitValues(L);
 }
 
 const Classification &InductionAnalysis::classify(const ir::Value *V,
                                                   const analysis::Loop *L) {
-  bool Created = false;
-  Classification &C = tableFor(L).getOrCreate(V, Created);
-  if (Created)
-    C = classifyExternal(V, L);
-  return C;
+  return tableFor(L).classOf(V);
 }
 
 const TripCountInfo &
@@ -1260,7 +1182,7 @@ InductionAnalysis::tripCount(const analysis::Loop *L) const {
 
 Classification
 InductionAnalysis::classifyExternal(const ir::Value *V,
-                                    const analysis::Loop *L) const {
+                                    const analysis::Loop *L) {
   if (const auto *C = ir::dyn_cast<ir::Constant>(V))
     return Classification::invariant(Affine(C->value()));
   if (ir::isa<ir::Argument>(V))
@@ -1357,11 +1279,38 @@ void InductionAnalysis::indexUse(ir::Instruction *User, unsigned Index) {
   UseHead[Def->seq()] = UseSlots.size() - 1;
 }
 
-void InductionAnalysis::materializeExitValues(const analysis::Loop *L,
-                                              const TripCountInfo &TC) {
+std::optional<Affine> InductionAnalysis::exitValue(const ir::Instruction *I,
+                                                  const analysis::Loop *L) {
+  const TripCountInfo &TC = tripCount(L);
+  if (!TC.isCountable() || !TC.ExitBranch || L->latches().size() != 1)
+    return std::nullopt;
+  // Where does the final execution land relative to the exit test?  Values
+  // above the test run once more than values below (section 5.2).
+  int64_t Extra;
+  if (I->parent() == TC.ExitingBlock ||
+      DT.properlyDominates(I->parent(), TC.ExitingBlock))
+    Extra = 0; // executes on the exiting visit: h = tc
+  else if (DT.dominates(I->parent(), L->latches().front()))
+    Extra = -1; // last full iteration: h = tc - 1
+  else
+    return std::nullopt; // conditionally executed; no single exit value
+  const Classification &C = classify(I, L);
+  const Affine TCA = TC.count();
+  if (std::optional<Rational> N = TCA.getConstant(); N && N->isInteger())
+    return C.valueAt(N->getInteger() + Extra);
+  // A symbolic count cannot prove h >= a wrap-around's settle point, and a
+  // ring or phase slot needs h mod period, so only a bare closed form
+  // evaluates at it.
+  if (!C.hasClosedForm())
+    return std::nullopt;
+  return C.Form.evaluateAtAffine(Extra == 0 ? TCA : TCA + Affine(-1));
+}
+
+void InductionAnalysis::materializeExitValues(const analysis::Loop *L) {
   static const stats::Timer MaterializePhase("phase.materialize");
   stats::ScopedSpan Span(MaterializePhase);
-  if (!TC.isCountable() || !TC.ExitBranch || L->latches().size() != 1)
+  const TripCountInfo &TC = tripCount(L);
+  if (!TC.ExitBranch)
     return;
   ir::BasicBlock *ExitBB = nullptr;
   for (ir::BasicBlock *Succ : TC.ExitBranch->blocks())
@@ -1369,90 +1318,26 @@ void InductionAnalysis::materializeExitValues(const analysis::Loop *L,
       ExitBB = Succ;
   if (!ExitBB)
     return;
-  ir::BasicBlock *Latch = L->latches().front();
-  const ir::BasicBlock *Exiting = TC.ExitingBlock;
-  const Affine TCA = TC.count();
-  std::optional<int64_t> TCNum;
-  if (std::optional<Rational> C = TCA.getConstant())
-    if (C->isInteger())
-      TCNum = C->getInteger();
 
-  // Candidates: this loop's classified instructions with closed forms
-  // (including loop-internal invariants, which the enclosing loop cannot
-  // see through otherwise), plus wrap-arounds whose inner class has a
-  // closed form -- those follow inner(h - order) once h >= order, so a
-  // numeric trip count past the settle point yields an exact exit value.
-  // Periodic ring members and summarized phase-periodic tuples also have
-  // exact exit values when the trip count is numeric: the last execution's
-  // ring slot (or branch phase) is pinned by h mod period.
-  // Copy the list first; materialization mutates the block contents.
-  struct Candidate {
-    const ir::Instruction *I;
-    const Classification *C; // resolved past wrap-around chains
-    unsigned MinH;           // wrap-around settle point; C is in h - MinH
-  };
-  std::vector<Candidate> Candidates;
+  // Candidates: this loop's classified instructions, loop-internal
+  // invariants included (the enclosing loop cannot see through them
+  // otherwise).  Copy the list first; materialization mutates the block
+  // contents.
+  std::vector<const ir::Instruction *> Candidates;
   for (const auto &[V, C] : tableFor(L).entries()) {
     const auto *I = ir::dyn_cast<ir::Instruction>(V);
-    if (!I || !L->contains(I->parent()))
-      continue;
-    unsigned Order = 0;
-    const Classification *W = C;
-    while (W->isWrapAround() && W->Inner) {
-      Order += W->WrapOrder;
-      W = W->Inner.get();
-    }
-    if (W->hasClosedForm() ||
-        (W->isPeriodic() && W->Period >= 2 &&
-         W->RingInits.size() == W->Period) ||
-        (W->isPhasePeriodic() && W->Period >= 2 &&
-         W->PhaseForms.size() == W->Period))
-      Candidates.push_back({I, W, Order});
+    if (I && L->contains(I->parent()) && !C->isUnknown())
+      Candidates.push_back(I);
   }
 
-  for (const auto &[V, Cls, MinH] : Candidates) {
-    // Where does the final execution land relative to the exit test?
-    // Values above the test run once more than values below (section 5.2).
-    int64_t Extra;
-    if (V->parent() == Exiting ||
-        DT.properlyDominates(V->parent(), Exiting))
-      Extra = 0; // executes on the exiting visit: h = tc
-    else if (DT.dominates(V->parent(), Latch))
-      Extra = -1; // last full iteration: h = tc - 1
-    else
-      continue; // conditionally executed; no single exit value
-
-    // Exit value as an affine expression over values live at the exit.
+  for (const ir::Instruction *V : Candidates) {
     // Evaluation over exact rationals can overflow int64 (e.g. a geometric
     // 2^h form past h = 62); the machine value wrapped there, so a
     // materialized exact constant would *change* behavior -- skip the
     // candidate instead.
     std::optional<Affine> EV;
     try {
-      if (TCNum) {
-        int64_t H = *TCNum + Extra;
-        if (H < 0)
-          continue; // the value never executed
-        if (H < int64_t(MinH))
-          continue; // still inside the wrap-around prefix
-        const int64_t HS = H - int64_t(MinH);
-        if (Cls->hasClosedForm())
-          EV = Cls->Form.evaluateAt(HS);
-        else if (Cls->isPeriodic())
-          EV = Cls->RingInits[(Cls->Phase + uint64_t(HS)) % Cls->Period] *
-                   Cls->PScale +
-               Cls->POffset;
-        else
-          EV = Cls->PhaseForms[uint64_t(HS) % Cls->Period].evaluateAt(
-              HS / int64_t(Cls->Period));
-      } else if (MinH == 0 && Cls->hasClosedForm()) {
-        Affine At = Extra == 0 ? TCA : TCA + Affine(-1);
-        EV = Cls->Form.evaluateAtAffine(At);
-      } else {
-        // A symbolic count cannot prove h >= the settle point, and a ring
-        // or phase slot needs h mod period, so it needs a numeric count.
-        continue;
-      }
+      EV = exitValue(V, L);
     } catch (const RationalOverflow &) {
       static const stats::Counter NumOverflows(
           "ivclass.materialize.overflow");

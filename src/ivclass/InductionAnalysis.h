@@ -61,6 +61,10 @@ public:
   /// tells the caller whether to fill it in.
   Classification &getOrCreate(const ir::Value *V, bool &Created);
 
+  /// The entry for \p V, filled on first touch with its classification from
+  /// outside the loop (InductionAnalysis::classifyExternal).
+  const Classification &classOf(const ir::Value *V);
+
   /// Entries in insertion order (value, classification).
   const std::vector<std::pair<const ir::Value *, const Classification *>> &
   entries() const {
@@ -80,6 +84,19 @@ private:
   std::vector<std::pair<const ir::Value *, const Classification *>> Entries;
 };
 
+/// Splits header phi \p Phi of \p L into its value from outside the loop
+/// (\p Init) and its value carried around the back edge (\p Carried).
+/// Fails for multi-latch headers.
+bool splitHeaderPhi(const ir::Instruction *Phi, const analysis::Loop *L,
+                    ir::Value *&Init, ir::Value *&Carried);
+
+/// The initial value \p Init of a header phi of \p L as an affine: its
+/// invariant form, or the opaque symbol of the value itself.
+Affine headerPhiInit(const ir::Value *Init, const analysis::Loop *L);
+
+/// Chases Copy instructions to the underlying value.
+ir::Value *chaseCopies(ir::Value *V);
+
 /// Block-visit sequences of the summarizer's probe runs over one function,
 /// one per seed (Summarize.h); empty until some loop samples.
 using SampleTraces = std::vector<std::vector<const ir::BasicBlock *>>;
@@ -93,10 +110,6 @@ public:
     /// loops classify through them (Figures 8 and 9).  Disable to see the
     /// paper's "treated as unknown" fallback.
     bool MaterializeExitValues = true;
-
-    /// Cap on the number of distinct (A, B) symbolic values tracked per
-    /// node during SCR evaluation (paths through nested conditionals).
-    unsigned MaxSymbolicPaths = 64;
 
     /// Multi-branch loop summarization (Summarize.h): after the classifier
     /// punts on a loop, conjecture a period-k branch cycle by sampling the
@@ -145,6 +158,18 @@ public:
   /// Trip count computed for \p L (valid after run()).
   const TripCountInfo &tripCount(const analysis::Loop *L) const;
 
+  /// The value instruction \p I of \p L holds when \p L exits (section
+  /// 5.3): its classification at h = tc when \p I runs at or above the exit
+  /// test, at h = tc - 1 when it runs below the test on every iteration.
+  /// nullopt when \p L has no countable single-latch trip count, when \p I
+  /// runs conditionally, when h falls inside a wrap-around prefix, and when
+  /// the value needs a numeric count (a ring or phase slot, a wrap-around)
+  /// but the count is symbolic.  A symbolic count is guarded, and the
+  /// value assumes it is positive.  Throws RationalOverflow.  Valid once
+  /// \p L 's trip count is computed.
+  std::optional<Affine> exitValue(const ir::Instruction *I,
+                                  const analysis::Loop *L);
+
   const Stats &stats() const { return S; }
 
   ir::Function &function() const { return F; }
@@ -162,13 +187,12 @@ public:
   /// Classification of a value used by (but not belonging to) the SSA graph
   /// of \p L: constants and values defined outside \p L are invariants;
   /// values inside a nested loop are unknown (section 5.3).
-  Classification classifyExternal(const ir::Value *V,
-                                  const analysis::Loop *L) const;
+  static Classification classifyExternal(const ir::Value *V,
+                                         const analysis::Loop *L);
 
 private:
   void processLoop(const analysis::Loop *L);
-  void materializeExitValues(const analysis::Loop *L,
-                             const TripCountInfo &TC);
+  void materializeExitValues(const analysis::Loop *L);
   /// Builds IR computing \p V (integer affine) at the end of \p BB; returns
   /// null when a coefficient is not an integer.
   ir::Value *materializeAffine(const Affine &V, ir::BasicBlock *BB,

@@ -2,6 +2,7 @@
 
 #include "ivclass/Summarize.h"
 #include "ivclass/RecurrenceSolver.h"
+#include "ivclass/VecForm.h"
 #include "interp/Interpreter.h"
 #include "support/Stats.h"
 #include <algorithm>
@@ -32,21 +33,6 @@ const stats::Timer ProvePhase("phase.summarize.prove");
 /// Seed values fed to the probe runs; every function argument receives the
 /// same seed within one run (SummarizeSampleCount runs total).
 constexpr int64_t SampleSeeds[SummarizeSampleCount] = {3, 7, 12};
-
-/// Symbolic value along one phase path: sum_i A[i] * X_i(h) + B(h), where
-/// X is the vector of unknown header phis at the start of iteration h and
-/// the forcing B is a closed form in the global iteration counter h.
-struct VecForm {
-  std::vector<Rational> A;
-  ClosedForm B;
-
-  bool freeOfX() const {
-    for (const Rational &C : A)
-      if (!C.isZero())
-        return false;
-    return true;
-  }
-};
 
 class Summarizer {
 public:
@@ -133,30 +119,13 @@ private:
   // Eligibility
   //===------------------------------------------------------------------===//
 
-  bool splitPhi(const ir::Instruction *Phi, ir::Value *&Init,
-                ir::Value *&Carried) const {
-    Init = Carried = nullptr;
-    for (unsigned Idx = 0; Idx < Phi->numOperands(); ++Idx) {
-      if (L->contains(Phi->blocks()[Idx])) {
-        if (Carried)
-          return false;
-        Carried = Phi->operand(Idx);
-      } else {
-        if (Init)
-          return false;
-        Init = Phi->operand(Idx);
-      }
-    }
-    return Init && Carried;
-  }
-
   bool collectUnknowns() {
     for (ir::Instruction *Phi : Header->phis()) {
       Classification *C = Map.find(Phi);
       if (!C || !C->isUnknown())
         continue;
       ir::Value *Init = nullptr, *Carried = nullptr;
-      if (!splitPhi(Phi, Init, Carried))
+      if (!splitHeaderPhi(Phi, L, Init, Carried))
         continue; // irregular phi: stays Unknown, the rest may still prove
       IndexOf[Phi] = unsigned(Unknowns.size());
       Unknowns.push_back(Phi);
@@ -399,19 +368,11 @@ private:
     return VecForm{std::vector<Rational>(Unknowns.size()), std::move(B)};
   }
 
-  const Classification &classOf(const ir::Value *V) {
-    bool Created = false;
-    Classification &C = Map.getOrCreate(V, Created);
-    if (Created)
-      C = IA.classifyExternal(V, L);
-    return C;
-  }
-
   /// Value of classified header phi \p Phi on iterations h === P (mod K).
   /// The one value that depends on K rather than on the path alone.
   std::optional<VecForm> headerPhiValue(const ir::Instruction *Phi,
                                         PhaseCtx &Ctx, unsigned P) {
-    const Classification &C = classOf(Phi);
+    const Classification &C = Map.classOf(Phi);
     if (C.hasClosedForm())
       return invariant(C.Form);
     if (C.isPeriodic() && C.Period >= 2 && C.RingInits.size() == C.Period) {
@@ -420,10 +381,8 @@ private:
         return std::nullopt;
       }
       // The family period divides the cycle, so the ring slot is pinned:
-      // value = PScale * ring[(Phase + P) mod Period] + POffset.
-      Affine V =
-          C.RingInits[(C.Phase + P) % C.Period] * C.PScale + C.POffset;
-      return invariant(ClosedForm::constant(std::move(V)));
+      // every iteration h === P (mod K) holds the value of iteration P.
+      return invariant(ClosedForm::constant(*C.valueAt(P)));
     }
     return std::nullopt;
   }
@@ -458,12 +417,12 @@ private:
   }
 
   /// Exit value of \p I -- defined inside a subloop of L -- as a phase
-  /// form: the subloop's closed form evaluated at its trip count, with
-  /// every subloop-invariant symbol (the inner inits and bounds, which may
-  /// be outer-phase values or even members of X) re-evaluated in the phase
-  /// context.  Only sound when this phase's path actually crossed that
-  /// subloop: the value read is the activation that just completed, whose
-  /// entry state is this iteration's.
+  /// form: InductionAnalysis::exitValue over the subloop, with every
+  /// subloop-invariant symbol of the result (the inner inits and bounds,
+  /// which may be outer-phase values or even members of X) re-evaluated in
+  /// the phase context.  Only sound when this phase's path actually crossed
+  /// that subloop: the value read is the activation that just completed,
+  /// whose entry state is this iteration's.
   std::optional<VecForm> subloopExitValue(ir::Instruction *I, PhaseCtx &Ctx,
                                           unsigned P) {
     auto It = Ctx.Memo.find(I);
@@ -487,68 +446,12 @@ private:
     if (!Crossed)
       return std::nullopt;
 
-    const TripCountInfo &TC = IA.tripCount(Child);
-    if (!TC.isCountable() || !TC.ExitBranch ||
-        Child->latches().size() != 1)
-      return std::nullopt;
-
-    // Section 5.3's placement rule: values at or above the exit test see
-    // h = tc, values below it only completed tc - 1 full iterations.
-    const analysis::DominatorTree &DT = IA.domTree();
-    const ir::BasicBlock *Exiting = TC.ExitingBlock;
-    const ir::BasicBlock *Latch = Child->latches().front();
-    int64_t Extra;
-    if (I->parent() == Exiting || DT.properlyDominates(I->parent(), Exiting))
-      Extra = 0;
-    else if (DT.dominates(I->parent(), Latch))
-      Extra = -1;
-    else
-      return std::nullopt;
-
-    const Classification &C = IA.classify(I, Child);
-    unsigned MinH = 0;
-    const Classification *W = &C;
-    while (W->isWrapAround() && W->Inner) {
-      MinH += W->WrapOrder;
-      W = W->Inner.get();
-    }
-    const bool Ring = W->isPeriodic() && W->Period >= 2 &&
-                      W->RingInits.size() == W->Period;
-    const bool Phases = W->isPhasePeriodic() && W->Period >= 2 &&
-                        W->PhaseForms.size() == W->Period;
-    if (!W->hasClosedForm() && !Ring && !Phases)
-      return std::nullopt;
-
-    const Affine TCA = TC.count();
-    std::optional<int64_t> TCNum;
-    if (std::optional<Rational> Cst = TCA.getConstant())
-      if (Cst->isInteger())
-        TCNum = Cst->getInteger();
-
-    std::optional<Affine> EV;
-    if (TCNum) {
-      const int64_t H = *TCNum + Extra;
-      if (H < 0 || H < int64_t(MinH))
-        return std::nullopt;
-      const int64_t HS = H - int64_t(MinH);
-      if (W->hasClosedForm())
-        EV = W->Form.evaluateAt(HS);
-      else if (Ring)
-        EV = W->RingInits[(W->Phase + uint64_t(HS)) % W->Period] * W->PScale +
-             W->POffset;
-      else
-        EV = W->PhaseForms[uint64_t(HS) % W->Period].evaluateAt(
-            HS / int64_t(W->Period));
-    } else if (MinH == 0 && W->hasClosedForm()) {
-      // A symbolic count's symbols are re-evaluated below like any other.
-      EV = W->Form.evaluateAtAffine(Extra == 0 ? TCA : TCA + Affine(-1));
-    } else {
-      // A ring or phase slot needs h mod period: numeric counts only.
-      return std::nullopt;
-    }
+    std::optional<Affine> EV = IA.exitValue(I, Child);
     if (!EV)
       return std::nullopt;
 
+    // The symbols of the exit value are subloop invariants, re-evaluated in
+    // this phase's context.
     VecForm Out = invariant(ClosedForm::constant(Affine(EV->constantPart())));
     for (const auto &[Sym, Coeff] : EV->terms()) {
       auto *SymV = const_cast<ir::Value *>(static_cast<const ir::Value *>(Sym));
@@ -573,74 +476,13 @@ private:
     Ctx.Memo[I] = std::nullopt;
 
     std::optional<VecForm> R;
-    switch (I->opcode()) {
-    case ir::Opcode::Phi: {
+    if (I->isPhi()) {
       // Body merge: resolved by the path's incoming edge.
-      const ir::BasicBlock *Pred = Ctx.PredOf.at(I->parent());
-      if (Pred)
+      if (const ir::BasicBlock *Pred = Ctx.PredOf.at(I->parent()))
         R = evalValue(I->incomingFor(Pred), Ctx, P);
-      break;
-    }
-    case ir::Opcode::Copy:
-      R = evalValue(I->operand(0), Ctx, P);
-      break;
-    case ir::Opcode::Neg: {
-      std::optional<VecForm> S = evalValue(I->operand(0), Ctx, P);
-      if (S) {
-        for (Rational &C : S->A)
-          C = -C;
-        S->B = -S->B;
-        R = std::move(S);
-      }
-      break;
-    }
-    case ir::Opcode::Add:
-    case ir::Opcode::Sub: {
-      std::optional<VecForm> LHS = evalValue(I->operand(0), Ctx, P);
-      std::optional<VecForm> RHS = evalValue(I->operand(1), Ctx, P);
-      if (LHS && RHS) {
-        const bool Minus = I->opcode() == ir::Opcode::Sub;
-        VecForm Out = std::move(*LHS);
-        for (size_t J = 0; J < Out.A.size(); ++J)
-          Out.A[J] = Minus ? Out.A[J] - RHS->A[J] : Out.A[J] + RHS->A[J];
-        Out.B = Minus ? Out.B - RHS->B : Out.B + RHS->B;
-        R = std::move(Out);
-      }
-      break;
-    }
-    case ir::Opcode::Mul: {
-      std::optional<VecForm> LHS = evalValue(I->operand(0), Ctx, P);
-      std::optional<VecForm> RHS = evalValue(I->operand(1), Ctx, P);
-      if (!LHS || !RHS)
-        break;
-      // Linear in X only when one side is free of X; the scaling side must
-      // be a numeric invariant when the other still references X.
-      auto scaled = [](const VecForm &Var,
-                       const VecForm &Const) -> std::optional<VecForm> {
-        std::optional<Rational> C = Const.B.isInvariant()
-                                        ? Const.B.initialValue().getConstant()
-                                        : std::nullopt;
-        if (!C)
-          return std::nullopt;
-        VecForm Out{Var.A, Var.B * *C};
-        for (Rational &Cf : Out.A)
-          Cf = Cf * *C;
-        return Out;
-      };
-      if (LHS->freeOfX() && RHS->freeOfX()) {
-        std::optional<ClosedForm> Prod = LHS->B.mulChecked(RHS->B);
-        if (Prod)
-          R = invariant(std::move(*Prod));
-      } else if (RHS->freeOfX()) {
-        R = scaled(*LHS, *RHS);
-      } else if (LHS->freeOfX()) {
-        R = scaled(*RHS, *LHS);
-      }
-      break;
-    }
-    default:
+    } else {
       // Div, Exp, loads, compares inside the update are out of scope.
-      break;
+      R = applyVecOp(I, [&](ir::Value *V) { return evalValue(V, Ctx, P); });
     }
     Ctx.Memo[I] = R;
     return R;
@@ -649,15 +491,6 @@ private:
   //===------------------------------------------------------------------===//
   // Proof obligations
   //===------------------------------------------------------------------===//
-
-  static ir::Value *chaseCopies(ir::Value *V) {
-    while (auto *I = ir::dyn_cast<ir::Instruction>(V)) {
-      if (I->opcode() != ir::Opcode::Copy)
-        break;
-      V = I->operand(0);
-    }
-    return V;
-  }
 
   bool collectObligations(std::vector<PhaseCtx> &Phases, CycleEval &E) {
     const analysis::LoopInfo &LI = IA.loopInfo();
@@ -735,7 +568,7 @@ private:
     for (unsigned P = 0; P < K; ++P)
       for (unsigned I = 0; I < N; ++I) {
         ir::Value *Init = nullptr, *Carried = nullptr;
-        splitPhi(Unknowns[I], Init, Carried);
+        splitHeaderPhi(Unknowns[I], L, Init, Carried);
         E.Row[I][P] = evalValue(Carried, Phases[P], P);
       }
   }
@@ -865,10 +698,8 @@ private:
     std::vector<Affine> Inits(N);
     for (unsigned I = 0; I < N; ++I) {
       ir::Value *Init = nullptr, *Carried = nullptr;
-      splitPhi(Unknowns[Vars[I]], Init, Carried);
-      Classification IC = IA.classifyExternal(Init, L);
-      Inits[I] = IC.isInvariant() ? IC.Form.initialValue()
-                                  : Affine::symbol(Init);
+      splitHeaderPhi(Unknowns[Vars[I]], L, Init, Carried);
+      Inits[I] = headerPhiInit(Init, L);
     }
     // Stashed for the early-cycle obligation checks (c < Result.Shift is
     // outside the solved forms' domain, so those cycles replay concretely).
@@ -1193,7 +1024,7 @@ private:
       if (!S[I])
         continue;
       ir::Value *Init = nullptr, *Carried = nullptr;
-      splitPhi(Unknowns[I], Init, Carried);
+      splitHeaderPhi(Unknowns[I], L, Init, Carried);
       std::optional<VecForm> VF = evalValue(Carried, Ctx, Phase);
       const std::optional<VecForm> &Ref = row(I, Phase);
       Diff[I] = !VF || !Ref || VF->A != Ref->A || !(VF->B == Ref->B);

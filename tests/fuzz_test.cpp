@@ -120,6 +120,20 @@ TEST(FuzzOracleTest, CleanOnPaperShapes) {
   }
 }
 
+TEST(FuzzOracleTest, WrapAroundTailGoesThroughPeriodicImage) {
+  // w holds 2*a + 1 of the previous iteration: a wrap-around into the
+  // affine image of a periodic member, running 0, 3, 5, 3, 5, ...  Its
+  // tail must be checked through the image, not against the bare ring.
+  OracleResult R = checkProgram(
+      "func wrapscaled(n) { a = 1; b = 2; t = 0; w = 0;\n"
+      "  for L: i = 1 to n { w = 2 * a + 1; t = a; a = b; b = t; }"
+      " return w; }");
+  EXPECT_TRUE(R.ParseOK);
+  for (const Mismatch &M : R.Mismatches)
+    ADD_FAILURE() << M.str();
+  EXPECT_EQ(R.Checks.WrapAround, 2u) << "t and w";
+}
+
 TEST(FuzzOracleTest, InjectedSkewIsDetected) {
   // The fault-injection hook makes a *correct* linear claim look wrong;
   // the oracle must catch it and report claim vs. observed.

@@ -341,3 +341,64 @@ TEST(IVEdgeTest, UnrepresentableCoefficientsDegradeNotWrap) {
   EXPECT_FALSE(X.hasClosedForm())
       << "overflowed coefficients must not masquerade as a closed form";
 }
+
+TEST(IVEdgeTest, ValueAtTable) {
+  // Classification::valueAt is the one statement of "the value on
+  // iteration h" that the oracle, the materializer and the summarizer
+  // share; one row per kind.
+  const ivclass::ClosedForm Lin =
+      ivclass::ClosedForm::linear(Affine(3), Affine(2)); // 3 + 2h
+
+  // A closed form evaluates at h itself.
+  const Classification Linear = Classification::fromForm(nullptr, Lin);
+  EXPECT_EQ(Linear.valueAt(0), Affine(3));
+  EXPECT_EQ(Linear.valueAt(4), Affine(11));
+
+  // A wrap-around claims nothing inside its prefix, then follows its inner
+  // class shifted by the order: phi(h) = inner(h - 2).
+  const Classification Wrap = Classification::wrapAround(nullptr, 2, Linear);
+  EXPECT_EQ(Wrap.valueAt(0), std::nullopt);
+  EXPECT_EQ(Wrap.valueAt(1), std::nullopt);
+  EXPECT_EQ(Wrap.valueAt(2), Affine(3));
+  EXPECT_EQ(Wrap.valueAt(5), Affine(9));
+
+  // A periodic member reads ring[(phase + h) mod period] through its
+  // image PScale * member + POffset.
+  Classification Ring = Classification::periodic(
+      nullptr, 1, 3, 1, {Affine(10), Affine(20), Affine(30)});
+  EXPECT_EQ(Ring.valueAt(0), Affine(20));
+  EXPECT_EQ(Ring.valueAt(2), Affine(10));
+  Ring.PScale = Rational(-2);
+  Ring.POffset = Affine(7);
+  EXPECT_EQ(Ring.valueAt(0), Affine(-33)); // -2 * 20 + 7
+  EXPECT_EQ(Ring.valueAt(4), Affine(-53)); // slot (1 + 4) mod 3 = 2
+  // Behind a wrap-around the image still applies to the tail.
+  const Classification WrapRing = Classification::wrapAround(nullptr, 1, Ring);
+  EXPECT_EQ(WrapRing.valueAt(0), std::nullopt);
+  EXPECT_EQ(WrapRing.valueAt(1), Affine(-33));
+
+  // A phase-periodic tuple evaluates PhaseForms[h mod k] at h div k.
+  const Classification Phases = Classification::phasePeriodic(
+      nullptr, 2,
+      {Lin, ivclass::ClosedForm::linear(Affine(100), Affine(-1))});
+  EXPECT_EQ(Phases.valueAt(0), Affine(3));   // phase 0, cycle 0
+  EXPECT_EQ(Phases.valueAt(1), Affine(100)); // phase 1, cycle 0
+  EXPECT_EQ(Phases.valueAt(4), Affine(7));   // phase 0, cycle 2
+  EXPECT_EQ(Phases.valueAt(7), Affine(97));  // phase 1, cycle 3
+
+  // Kinds that claim no value, and malformed tuples, answer nullopt.
+  EXPECT_EQ(Classification::monotonic(nullptr, MonotoneDir::Increasing, true)
+                .valueAt(3),
+            std::nullopt);
+  EXPECT_EQ(Classification::unknown().valueAt(0), std::nullopt);
+  Classification ShortRing = Ring;
+  ShortRing.RingInits.pop_back();
+  EXPECT_EQ(ShortRing.valueAt(0), std::nullopt);
+  Classification ShortPhases = Phases;
+  ShortPhases.PhaseForms.pop_back();
+  EXPECT_EQ(ShortPhases.valueAt(0), std::nullopt);
+  Classification NoPeriod = Ring;
+  NoPeriod.Period = 0;
+  NoPeriod.RingInits.clear();
+  EXPECT_EQ(NoPeriod.valueAt(0), std::nullopt);
+}

@@ -291,3 +291,56 @@ TEST(NestedIVTest, ClaimB3NestDepths) {
     EXPECT_EQ(A.IA->strNested(A.cls(Inner, "k"), Depth + 1), InnermostK);
   }
 }
+
+TEST(NestedIVTest, ExitValueRule) {
+  // InductionAnalysis::exitValue is the one statement of section 5.3's rule
+  // that the materializer and the summarizer share.
+  Analyzed A = analyze("func f(n) {"
+                       "  a = 1; b = 2; t = 0; s = 0; c = 0;"
+                       "  for L: i = 1 to 5 {"
+                       "    t = a; a = b; b = t;"
+                       "    s = s + 2;"
+                       "    if (A[i] > 0) { c = i * 2; }"
+                       "  }"
+                       "  return a + s + c;"
+                       "}");
+  const analysis::Loop *L = A.loop("L");
+  // A ring slot at the numeric count: a header phi sits above the exit
+  // test, so h = tc = 5, and a runs 1, 2, 1, 2, ...
+  EXPECT_EQ(A.IA->exitValue(A.phi("L", "a"), L), Affine(2));
+  // s + 2 runs below the test: its last execution is h = tc - 1, 2 + 2*4.
+  const ir::Instruction *SNext = A.carried("L", "s");
+  ASSERT_TRUE(A.clsOf(SNext, "L").isLinear());
+  EXPECT_EQ(A.IA->exitValue(SNext, L), Affine(10));
+  // i * 2 has a closed form but runs only on some iterations.
+  const ir::Instruction *Twice = nullptr;
+  for (const ir::BasicBlock *BB : L->blocks())
+    for (const ir::Instruction *I : *BB)
+      if (I->opcode() == ir::Opcode::Mul)
+        Twice = I;
+  ASSERT_NE(Twice, nullptr);
+  ASSERT_TRUE(A.clsOf(Twice, "L").isLinear());
+  EXPECT_EQ(A.IA->exitValue(Twice, L), std::nullopt);
+
+  // A symbolic count evaluates a closed form at it (the count is guarded:
+  // the value holds when n is positive).
+  Analyzed S = analyze("func f(n) {"
+                       "  s = 0;"
+                       "  for L: i = 1 to n { s = s + 2; }"
+                       "  return s;"
+                       "}");
+  const ir::Argument *N = S.F->arguments()[0];
+  EXPECT_EQ(S.IA->exitValue(S.phi("L", "s"), S.loop("L")),
+            Affine::symbol(N) * Rational(2));
+
+  // A wrap-around settles only past its prefix: one trip clears j's order
+  // 1 but not k's order 2.
+  Analyzed W = analyze("func f(n) {"
+                       "  j = 50; k = 60;"
+                       "  for L: i = 1 to 1 { k = j; j = i; }"
+                       "  return j + k;"
+                       "}");
+  ASSERT_EQ(W.cls("L", "k").WrapOrder, 2u);
+  EXPECT_EQ(W.IA->exitValue(W.phi("L", "j"), W.loop("L")), Affine(1));
+  EXPECT_EQ(W.IA->exitValue(W.phi("L", "k"), W.loop("L")), std::nullopt);
+}

@@ -9,7 +9,7 @@
 //     --all-values       classify every value, not just header phis
 //     --deps             print the dependence report
 //     --trip-counts      print per-loop trip counts
-//     --peel=LOOP[:N]    peel N (default 1) iterations off LOOP first
+//     --peel=LOOP[:N]    peel N (1-1024, default 1) iterations off LOOP first
 //     --strength-reduce  run strength reduction and print the IR after
 //     --no-sccp          skip constant propagation
 //     --run              interpret the program with the given integer args
@@ -28,9 +28,9 @@
 //
 //   bivc --batch [-jN] FILES...
 //     Parallel batch analysis: every file is split into top-level functions
-//     and the whole set is sharded across N workers (default 1; -j0 picks
-//     the hardware concurrency).  Prints the merged classification report in
-//     input order -- byte-identical for every N -- plus a summary.
+//     and the whole set is sharded across N workers (default 1, at most 256;
+//     -j0 picks the hardware concurrency).  Prints the merged classification
+//     report in input order -- byte-identical for every N -- plus a summary.
 //     --summary          suppress per-unit reports, print the summary only
 //     --materialize      enable exit-value materialization per unit
 //     --all-values / --no-sccp apply per unit as in single-file mode
@@ -76,13 +76,14 @@
 //     request may sit in the daemon's queue before it is abandoned.
 //
 //   bivc --fuzz N [--seed S] [--minimize] [--cache-oracle]
-//     Differential fuzzing: generate N seeded random programs, check every
-//     classifier claim against the interpreter oracle, diff batch -j1
-//     against -j8 byte-for-byte, and (with --minimize) delta-debug any
-//     mismatching program down to a minimal statement list.  The programs
-//     are checked on 8 pool workers while the -j1 pass renders beside them;
-//     results commit in program order, so the output is the same as a
-//     serial run's.  Exit status 0 iff no mismatch was found.
+//     Differential fuzzing: generate N (1 to 10 000 000; a bare --fuzz means
+//     500) random programs from the 64-bit seed S, check every classifier
+//     claim against the interpreter oracle, diff batch -j1 against -j8
+//     byte-for-byte, and (with --minimize) delta-debug any mismatching
+//     program down to a minimal statement list.  The programs are checked
+//     on 8 pool workers while the -j1 pass renders beside them; results
+//     commit in program order, so the output is the same as a serial
+//     run's.  Exit status 0 iff no mismatch was found.
 //     --cache-oracle additionally runs every program cold and warm through
 //     an in-memory analysis cache and fails on any report divergence (a
 //     random subset of programs exercises the same check even without the
@@ -107,6 +108,7 @@
 #include "support/Stats.h"
 #include "transform/LoopPeel.h"
 #include "transform/StrengthReduce.h"
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -189,16 +191,12 @@ int usage() {
   return 2;
 }
 
-bool numericArg(const char *S) {
-  return *S && std::string(S).find_first_not_of("0123456789") ==
-                   std::string::npos;
-}
-
-/// Strict bounded parse for flags whose value feeds arithmetic (deadline
-/// ns conversion, admission counters, fork counts): the whole string must
-/// be decimal digits -- `-3` or `12x` never silently wraps through
-/// strtoul -- and the value must land in [\p Min, \p Max].  Diagnoses and
-/// returns false otherwise, matching the unknown-flag hard-error policy.
+/// Strict bounded parse for every numeric flag (thread and fork counts,
+/// admission counters, deadline ns conversion, fuzz counts and seeds, peel
+/// counts): the whole string must be decimal digits -- `-3` or `12x` never
+/// silently wraps through strtoul -- and the value must land in
+/// [\p Min, \p Max].  Diagnoses and returns false otherwise, matching the
+/// unknown-flag hard-error policy.
 bool parseBounded(const char *Flag, const std::string &Text, uint64_t Min,
                   uint64_t Max, uint64_t &Out) {
   if (Text.empty() ||
@@ -254,16 +252,21 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.Batch = true;
     } else if (A == "--fuzz" || A.rfind("--fuzz=", 0) == 0) {
       O.Fuzz = true;
-      if (A.size() > 7 && A[6] == '=')
-        O.FuzzCount = std::strtoul(A.c_str() + 7, nullptr, 10);
-      else if (I + 1 < Argc && numericArg(Argv[I + 1]))
-        O.FuzzCount = std::strtoul(Argv[++I], nullptr, 10);
+      // A bare --fuzz keeps the default count; a next token that starts
+      // with a digit is the count.
+      const bool HasCount =
+          A.size() > 6 ||
+          (I + 1 < Argc && std::isdigit((unsigned char)Argv[I + 1][0]));
+      if (HasCount) {
+        uint64_t V = 0;
+        if (!parseBounded("--fuzz", flagValue(A, 6, I, Argc, Argv), 1,
+                          10000000, V))
+          return false;
+        O.FuzzCount = unsigned(V);
+      }
     } else if (A == "--seed" || A.rfind("--seed=", 0) == 0) {
-      if (A.size() > 7 && A[6] == '=')
-        O.FuzzSeed = std::strtoull(A.c_str() + 7, nullptr, 10);
-      else if (I + 1 < Argc && numericArg(Argv[I + 1]))
-        O.FuzzSeed = std::strtoull(Argv[++I], nullptr, 10);
-      else
+      if (!parseBounded("--seed", flagValue(A, 6, I, Argc, Argv), 0,
+                        UINT64_MAX, O.FuzzSeed))
         return false;
     } else if (A == "--minimize") {
       O.FuzzMinimize = true;
@@ -340,12 +343,15 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.SummaryOnly = true;
     } else if (A == "--materialize") {
       O.Materialize = true;
-    } else if (A.rfind("-j", 0) == 0 && A != "-j" &&
-               A.find_first_not_of("0123456789", 2) == std::string::npos) {
-      O.Jobs = std::strtoul(A.c_str() + 2, nullptr, 10);
-      O.JobsSet = true;
-    } else if (A.rfind("--jobs=", 0) == 0) {
-      O.Jobs = std::strtoul(A.c_str() + 7, nullptr, 10);
+    } else if ((A.rfind("-j", 0) == 0 && A != "-j") ||
+               A.rfind("--jobs=", 0) == 0) {
+      // Bounded before any pool exists: 0 picks the hardware concurrency.
+      const bool Short = A[1] == 'j';
+      uint64_t V = 0;
+      if (!parseBounded(Short ? "-j" : "--jobs", A.substr(Short ? 2 : 7), 0,
+                        256, V))
+        return false;
+      O.Jobs = unsigned(V);
       O.JobsSet = true;
     } else if (A == "--ir") {
       O.PrintIR = true;
@@ -383,7 +389,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         O.PeelLoop = Spec;
       } else {
         O.PeelLoop = Spec.substr(0, Colon);
-        O.PeelTimes = std::strtoul(Spec.c_str() + Colon + 1, nullptr, 10);
+        uint64_t V = 0;
+        if (!parseBounded("--peel", Spec.substr(Colon + 1), 1, 1024, V))
+          return false;
+        O.PeelTimes = unsigned(V);
       }
     } else if (!A.empty() && A[0] == '-') {
       // Anything else that looks like a flag -- `--whatever`, `-z`, a bare
@@ -451,7 +460,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
     return false;
   }
   if (O.Fuzz)
-    return O.FuzzCount > 0 && O.File.empty() && !O.Batch;
+    return O.File.empty() && !O.Batch;
   if (O.Batch)
     return !O.BatchFiles.empty();
   if (O.File.empty())

@@ -147,6 +147,18 @@ case "$SUMM_OUT" in
     ;;
 esac
 
+# The rules every consumer of a class shares: Classification::valueAt and
+# InductionAnalysis::exitValue have their own tables (ivclass_edge_test,
+# ivclass_nested_test), and the oracle's one value check reaches them
+# through the corpus goldens and the fuzz smoke, all in the instrumented
+# tree.
+cmake --build "$BUILD" --target ivclass_edge_test ivclass_nested_test \
+  corpus_test fuzz_test -j "$(nproc)" >/dev/null
+for T in ivclass_edge_test ivclass_nested_test corpus_test fuzz_test; do
+  "$BUILD/tests/$T" >/dev/null
+done
+echo "fuzz: valueAt/exitValue, corpus and fuzz suites clean under ASan/UBSan"
+
 # A slice of the budget runs with the cache oracle forced on for every
 # program; the main campaign keeps the default sampled (~1/8) oracle.
 "$BIVC" --fuzz "$((COUNT / 10 + 1))" --seed "$((SEED + 1))" --cache-oracle

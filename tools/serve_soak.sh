@@ -19,10 +19,11 @@
 #  5. SIGTERM drain: in-flight clients are answered, the daemon exits 0,
 #     the socket file is gone.
 #  6. Fleet byte-identity: a --workers 3 pre-forked fleet serves the same
-#     corpus byte-identically under concurrent clients, answers every
-#     request of an overload pass at 4x that client concurrency (with the
-#     one-shot bytes or an `overloaded` reply), drains on SIGTERM with
-#     exit 0, and its bounded cache never exceeds --cache-max-bytes.
+#     corpus byte-identically under concurrent clients, drains on SIGTERM
+#     with exit 0, and its bounded cache never exceeds --cache-max-bytes.
+#     Then a --workers 3 --admit 1 fleet answers every request of an
+#     overload pass at 4x that client concurrency, with the one-shot bytes
+#     or an `overloaded` reply, and must turn at least one away.
 #  7. Worker crash mid-request: a fault-injected worker _exit()s between
 #     reading a request and replying; the client gets a connection error
 #     (never a hang), the supervisor respawns the worker, and the fleet
@@ -206,41 +207,6 @@ for P in $FLEET_PIDS; do
     exit 1
   fi
 done
-# Overload pass: 4x the clients above.  An `overloaded` reply is an answer;
-# a lost, hung or garbled request is not.
-mkdir -p "$DIR/oneshot"
-for F in "$ROOT"/tests/corpus/*.biv; do
-  "$BIVC" "$F" >"$DIR/oneshot/$(basename "$F").out"
-done
-OVER_CLIENTS=16
-OVER_PIDS=""
-for C in $(seq 1 $OVER_CLIENTS); do
-  (
-    for F in "$ROOT"/tests/corpus/*.biv; do
-      if timeout 60 "$BIVC" --connect "$FSOCK" "$F" >"$DIR/over.$C.out" \
-        2>"$DIR/over.$C.err"; then
-        cmp -s "$DIR/over.$C.out" "$DIR/oneshot/$(basename "$F").out" ||
-          exit 1
-        echo ok
-      elif grep -q "overloaded" "$DIR/over.$C.err"; then
-        echo overloaded
-      else
-        exit 1
-      fi
-    done >"$DIR/over.$C.log"
-  ) &
-  OVER_PIDS="$OVER_PIDS $!"
-done
-for P in $OVER_PIDS; do
-  if ! wait "$P"; then
-    echo "serve_soak: fleet lost, hung or garbled a request under" \
-      "$OVER_CLIENTS-client overload" >&2
-    cat "$DIR/fleet.log" >&2
-    exit 1
-  fi
-done
-OVER_OK=$(cat "$DIR"/over.*.log | grep -c '^ok$' || true)
-OVER_REFUSED=$(cat "$DIR"/over.*.log | grep -c '^overloaded$' || true)
 kill -TERM "$SERVE_PID"
 if ! wait "$SERVE_PID"; then
   echo "serve_soak: fleet exited non-zero after SIGTERM:" >&2
@@ -258,8 +224,62 @@ if [ "$FSIZE" -gt "$FCAP" ]; then
   exit 1
 fi
 echo "serve_soak: fleet byte-identical under concurrent clients," \
-  "overload pass answered ($OVER_OK ok, $OVER_REFUSED overloaded)," \
   "cache $FSIZE <= $FCAP, clean drain"
+
+# Overload pass: 4x the clients above against a fleet that admits one
+# request per worker.  An `overloaded` reply is an answer; a lost, hung or
+# garbled request is not.
+OSOCK="$DIR/over.sock"
+"$BIVC" --serve "$OSOCK" --workers 3 --admit 1 -j1 2>"$DIR/overfleet.log" &
+SERVE_PID=$!
+wait_for_socket "$OSOCK"
+mkdir -p "$DIR/oneshot"
+for F in "$ROOT"/tests/corpus/*.biv; do
+  "$BIVC" "$F" >"$DIR/oneshot/$(basename "$F").out"
+done
+OVER_CLIENTS=16
+OVER_PIDS=""
+for C in $(seq 1 $OVER_CLIENTS); do
+  (
+    for F in "$ROOT"/tests/corpus/*.biv; do
+      if timeout 60 "$BIVC" --connect "$OSOCK" "$F" >"$DIR/over.$C.out" \
+        2>"$DIR/over.$C.err"; then
+        cmp -s "$DIR/over.$C.out" "$DIR/oneshot/$(basename "$F").out" ||
+          exit 1
+        echo ok
+      elif grep -q "overloaded" "$DIR/over.$C.err"; then
+        echo overloaded
+      else
+        exit 1
+      fi
+    done >"$DIR/over.$C.log"
+  ) &
+  OVER_PIDS="$OVER_PIDS $!"
+done
+for P in $OVER_PIDS; do
+  if ! wait "$P"; then
+    echo "serve_soak: fleet lost, hung or garbled a request under" \
+      "$OVER_CLIENTS-client overload" >&2
+    cat "$DIR/overfleet.log" >&2
+    exit 1
+  fi
+done
+OVER_OK=$(cat "$DIR"/over.*.log | grep -c '^ok$' || true)
+OVER_REFUSED=$(cat "$DIR"/over.*.log | grep -c '^overloaded$' || true)
+kill -TERM "$SERVE_PID"
+if ! wait "$SERVE_PID"; then
+  echo "serve_soak: admit-1 fleet exited non-zero after SIGTERM:" >&2
+  cat "$DIR/overfleet.log" >&2
+  exit 1
+fi
+SERVE_PID=""
+if [ "$OVER_REFUSED" -lt 1 ]; then
+  echo "serve_soak: $OVER_CLIENTS clients against an admit-1 fleet got no" \
+    "overloaded reply ($OVER_OK ok)" >&2
+  exit 1
+fi
+echo "serve_soak: admit-1 fleet answered the overload pass" \
+  "($OVER_OK ok, $OVER_REFUSED overloaded)"
 
 # 7. Worker crash mid-request: error (not a hang) at the client, respawn
 # at the supervisor, correct bytes afterwards.
