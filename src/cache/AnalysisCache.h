@@ -107,7 +107,7 @@ namespace cache {
 /// classification kinds, different closed forms, report format edits...):
 /// every existing cache file becomes stale at once.  tools/check_docs.sh
 /// cross-checks this constant against the value DESIGN.md documents.
-inline constexpr uint64_t AnalysisVersionSalt = 4;
+inline constexpr uint64_t AnalysisVersionSalt = 5;
 
 /// On-disk format revision (layout, not analysis semantics).  v2 added the
 /// generation counter to the tail footer (fleet-shared caches); v3 dropped

@@ -322,9 +322,6 @@ struct FuncDecl {
 };
 
 /// LLVM-style casts over Expr/Stmt (kind-tag based, no RTTI).
-template <typename To, typename From> bool ast_isa(const From *N) {
-  return To::classof(N);
-}
 template <typename To, typename From> const To *ast_cast(const From *N) {
   assert(To::classof(N) && "bad AST cast");
   return static_cast<const To *>(N);

@@ -134,12 +134,6 @@ public:
   /// interned (stable for the function's lifetime).
   std::string_view uniqueName(std::string_view Base);
 
-  /// Interns \p N and returns the stable spelling (for names that must
-  /// outlive a caller's temporary).
-  std::string_view internName(std::string_view N) {
-    return SI.internView(N);
-  }
-
 private:
   /// Grows the symbol-indexed side tables to cover \p Sym.
   void ensureSymbolTables(support::Symbol Sym);

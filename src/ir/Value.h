@@ -48,7 +48,7 @@ public:
 
   std::string_view name() const { return Name; }
   /// \p N must outlive this value: pass an interned view
-  /// (Function::uniqueName / internName), a literal, or another name.
+  /// (Function::uniqueName), a literal, or another name.
   void setName(std::string_view N) { Name = N; }
 
 protected:

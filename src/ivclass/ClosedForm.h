@@ -115,15 +115,6 @@ public:
     return It->second[J];
   }
 
-  /// Degree of the coefficient polynomial on Base^h (0 when absent or
-  /// constant).
-  unsigned geoDegree(int64_t Base) const {
-    auto It = Geo.find(Base);
-    return It == Geo.end() || It->second.size() <= 1
-               ? 0
-               : unsigned(It->second.size() - 1);
-  }
-
   ClosedForm operator-() const;
   ClosedForm operator+(const ClosedForm &RHS) const;
   ClosedForm operator-(const ClosedForm &RHS) const;

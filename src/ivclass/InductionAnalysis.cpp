@@ -98,27 +98,23 @@ ir::Value *biv::ivclass::chaseCopies(ir::Value *V) {
 
 namespace {
 
-/// Cap on the number of distinct (A, B) symbolic values tracked per node
-/// during SCR evaluation (paths through nested conditionals).
+/// Cap on the number of distinct path values tracked per node during SCR
+/// evaluation (paths through nested conditionals).
 constexpr size_t MaxSymbolicPaths = 64;
 
-/// A symbolic value during SCR evaluation: A * X + B(h), where X is the
-/// value of the region's loop-header phi on the current iteration.
-/// Through records which SCR nodes this path's value passed through; it
-/// feeds the paper's per-member strictness argument (Figure 10: "if the k3
-/// assignment occurs more than once, it must assign a larger value each
-/// time").
-struct LinTerm {
-  Rational A;
-  ClosedForm B;
+/// One control path's value of a node during SCR evaluation: a VecForm over
+/// X, the values of the region's loop-header phis on the current iteration.
+/// Through records which SCR nodes the path passed through; it feeds the
+/// paper's per-member strictness argument (Figure 10: "if the k3 assignment
+/// occurs more than once, it must assign a larger value each time").
+struct PathForm {
+  VecForm F;
   std::set<const ir::Instruction *> Through;
-
-  bool operator==(const LinTerm &O) const { return A == O.A && B == O.B; }
 };
 
-/// The set of possible symbolic values of a node (one per control path
-/// through the loop body); nullopt = not expressible.
-using SymSet = std::vector<LinTerm>;
+/// The distinct values of a node, one per control path through the loop
+/// body.
+using PathSet = std::vector<PathForm>;
 
 /// Classifies one loop.  Owned state is per-loop; long-lived results land in
 /// the analysis' ClassMap.
@@ -127,11 +123,10 @@ public:
   /// \p NodeBySeq and \p InSCRMask are the analysis' shared seq-indexed
   /// scratch, all clear on entry and again once this classifier is gone.
   LoopClassifier(InductionAnalysis &IA, const analysis::Loop *L,
-                 ClassTable &Map, const InductionAnalysis::Options &Opts,
-                 unsigned &FamilyId, InductionAnalysis::Stats &S,
-                 std::vector<unsigned> &NodeBySeq,
+                 ClassTable &Map, unsigned &FamilyId,
+                 InductionAnalysis::Stats &S, std::vector<unsigned> &NodeBySeq,
                  std::vector<char> &InSCRMask)
-      : IA(IA), L(L), G(*L, IA.loopInfo(), NodeBySeq), Map(Map), Opts(Opts),
+      : IA(IA), L(L), G(*L, IA.loopInfo(), NodeBySeq), Map(Map),
         NextFamilyId(FamilyId), S(S), InSCRMask(InSCRMask) {
     // The graph construction numbered the function if needed; the SCR
     // membership mask is keyed by those sequence numbers.
@@ -524,16 +519,7 @@ private:
       if (classifyPeriodic(Region, HeaderPhis))
         return;
 
-    if (HeaderPhis.size() == 1) {
-      classifySingleHeader(Region, HeaderPhis.front());
-      return;
-    }
-
-    // Several mutually recurrent header phis with arithmetic: a coupled
-    // constant-coefficient system (the c-finite extension).
-    if (classifySystem(Region, HeaderPhis))
-      return;
-    markAllUnknown(Region);
+    classifyRecurrence(Region, HeaderPhis);
   }
 
   bool onlyHeaderPhis(const SCR &Region,
@@ -596,401 +582,244 @@ private:
   }
 
   //===------------------------------------------------------------------===//
-  // Single-header-phi regions: symbolic evaluation + recurrence solving
+  // Recurrence regions: path-set evaluation + recurrence solving
   //===------------------------------------------------------------------===//
 
-  using EvalMemo =
-      std::unordered_map<const ir::Instruction *, std::optional<SymSet>>;
-
-  std::optional<SymSet> evalValue(ir::Value *V, ir::Instruction *H,
-                                  EvalMemo &Memo) {
-    if (V == H)
-      return SymSet{{Rational(1), ClosedForm(), {}}};
+  /// The paths of \p V, or null when \p V is not linear in X: a header
+  /// phi's unit, a region node's evaluation, or one X-free path for a value
+  /// from outside the region.  Memoized; the entry exists, empty, while the
+  /// node's operands are evaluated, so a malformed cycle (one not through a
+  /// header phi) reads null.
+  const PathSet *evalValue(ir::Value *V) {
     auto *I = ir::dyn_cast<ir::Instruction>(V);
-    if (I && inSCR(I))
-      return evalInst(I, H, Memo);
-    const Classification &C = Map.classOf(V);
-    if (C.hasClosedForm())
-      return SymSet{{Rational(0), C.Form, {}}};
-    return std::nullopt;
+    const bool InRegion = I && inSCR(I);
+    if (InRegion)
+      for (size_t J = 0; J < Eval.HeaderPhis->size(); ++J)
+        if ((*Eval.HeaderPhis)[J] == I)
+          return &Eval.Units[J];
+    auto [It, New] = Eval.Memo.try_emplace(V);
+    std::optional<PathSet> &Slot = It->second;
+    if (New && InRegion) {
+      Slot = evalPaths(I);
+      if (Slot)
+        for (PathForm &P : *Slot)
+          P.Through.insert(I);
+    } else if (New) {
+      const Classification &C = Map.classOf(V);
+      if (C.hasClosedForm())
+        Slot = PathSet{{{Coeffs(Eval.HeaderPhis->size()), C.Form}, {}}};
+    }
+    return Slot ? &*Slot : nullptr;
   }
 
-  std::optional<SymSet> evalInst(ir::Instruction *I, ir::Instruction *H,
-                                 EvalMemo &Memo) {
-    auto It = Memo.find(I);
-    if (It != Memo.end())
-      return It->second;
-    // Break accidental cycles defensively (a cycle not through H would be a
-    // malformed graph); mark failure first, overwrite on success.
-    Memo[I] = std::nullopt;
-
-    auto combine2 = [&](auto &&Fn) -> std::optional<SymSet> {
-      std::optional<SymSet> LHS = evalValue(I->operand(0), H, Memo);
-      std::optional<SymSet> RHS = evalValue(I->operand(1), H, Memo);
-      if (!LHS || !RHS)
-        return std::nullopt;
-      SymSet Out;
-      for (const LinTerm &X : *LHS)
-        for (const LinTerm &Y : *RHS) {
-          std::optional<LinTerm> T = Fn(X, Y);
-          if (!T)
-            return std::nullopt;
-          T->Through = X.Through;
-          T->Through.insert(Y.Through.begin(), Y.Through.end());
-          addTerm(Out, std::move(*T));
-        }
-      if (Out.size() > MaxSymbolicPaths)
-        return std::nullopt;
-      return Out;
-    };
-
-    std::optional<SymSet> Result;
-    switch (I->opcode()) {
-    case ir::Opcode::Phi: {
-      SymSet Out;
-      bool OK = true;
-      for (ir::Value *Op : I->operands()) {
-        std::optional<SymSet> OpSet = evalValue(Op, H, Memo);
-        if (!OpSet) {
-          OK = false;
-          break;
-        }
-        for (LinTerm &T : *OpSet)
-          addTerm(Out, std::move(T));
+  /// The paths of \p I from its operands' paths: a merge phi unites them,
+  /// and every other opcode applies VecForm's rule to each operand path (or
+  /// pair of them).  nullopt past MaxSymbolicPaths.
+  std::optional<PathSet> evalPaths(ir::Instruction *I) {
+    const ir::Opcode Op = I->opcode();
+    PathSet Out;
+    if (Op == ir::Opcode::Phi) {
+      for (ir::Value *V : I->operands()) {
+        const PathSet *Paths = evalValue(V);
+        if (!Paths)
+          return std::nullopt;
+        for (const PathForm &P : *Paths)
+          addPath(Out, P);
       }
-      if (OK && Out.size() <= MaxSymbolicPaths)
-        Result = std::move(Out);
-      break;
-    }
-    case ir::Opcode::Copy: {
-      Result = evalValue(I->operand(0), H, Memo);
-      break;
-    }
-    case ir::Opcode::Neg: {
-      std::optional<SymSet> Sub = evalValue(I->operand(0), H, Memo);
-      if (Sub) {
-        SymSet Out;
-        for (const LinTerm &T : *Sub)
-          addTerm(Out, {-T.A, -T.B, T.Through});
-        Result = std::move(Out);
-      }
-      break;
-    }
-    case ir::Opcode::Add:
-      Result = combine2([](const LinTerm &X, const LinTerm &Y)
-                            -> std::optional<LinTerm> {
-        return LinTerm{X.A + Y.A, X.B + Y.B, {}};
-      });
-      break;
-    case ir::Opcode::Sub:
-      Result = combine2([](const LinTerm &X, const LinTerm &Y)
-                            -> std::optional<LinTerm> {
-        return LinTerm{X.A - Y.A, X.B - Y.B, {}};
-      });
-      break;
-    case ir::Opcode::Mul:
-      Result = combine2([](const LinTerm &X, const LinTerm &Y)
-                            -> std::optional<LinTerm> {
-        // (A1*X + B1) * (A2*X + B2): linear in X only when one side is free
-        // of X; the scaling side must be a numeric invariant when the other
-        // side still references X.
-        auto scaled = [](const LinTerm &Var, const LinTerm &Const)
-            -> std::optional<LinTerm> {
-          std::optional<Rational> C =
-              Const.B.isInvariant()
-                  ? Const.B.initialValue().getConstant()
-                  : std::nullopt;
-          if (!C)
-            return std::nullopt;
-          return LinTerm{Var.A * *C, Var.B * *C, {}};
-        };
-        if (X.A.isZero() && Y.A.isZero()) {
-          std::optional<ClosedForm> P = X.B.mulChecked(Y.B);
-          if (!P)
-            return std::nullopt;
-          return LinTerm{Rational(0), *P, {}};
-        }
-        if (Y.A.isZero())
-          return scaled(X, Y);
-        if (X.A.isZero())
-          return scaled(Y, X);
+    } else if (Op == ir::Opcode::Copy || Op == ir::Opcode::Neg) {
+      const PathSet *Paths = evalValue(I->operand(0));
+      if (!Paths)
         return std::nullopt;
-      });
-      break;
-    default:
+      Out = *Paths;
+      if (Op == ir::Opcode::Neg)
+        for (PathForm &P : Out)
+          negVecForm(P.F);
+    } else if (Op == ir::Opcode::Add || Op == ir::Opcode::Sub ||
+               Op == ir::Opcode::Mul) {
+      const PathSet *Xs = evalValue(I->operand(0));
+      const PathSet *Ys = evalValue(I->operand(1));
+      if (!Xs || !Ys)
+        return std::nullopt;
+      for (const PathForm &X : *Xs)
+        for (const PathForm &Y : *Ys) {
+          std::optional<VecForm> F = combineVecForms(Op, X.F, Y.F);
+          if (!F)
+            return std::nullopt;
+          PathForm P{std::move(*F), X.Through};
+          P.Through.insert(Y.Through.begin(), Y.Through.end());
+          addPath(Out, std::move(P));
+        }
+    } else {
       // Div, Exp, loads, compares inside a recurrence are out of scope.
-      break;
+      return std::nullopt;
     }
-    if (Result)
-      for (LinTerm &T : *Result)
-        T.Through.insert(I);
-    Memo[I] = Result;
-    return Result;
+    if (Out.size() > MaxSymbolicPaths)
+      return std::nullopt;
+    return Out;
   }
 
-  static void addTerm(SymSet &Set, LinTerm T) {
-    for (LinTerm &E : Set)
-      if (E == T) {
-        // Same symbolic value via another path: union the node sets (a
-        // larger Through only weakens strictness claims -- conservative).
-        E.Through.insert(T.Through.begin(), T.Through.end());
+  static void addPath(PathSet &Set, PathForm P) {
+    for (PathForm &E : Set)
+      if (E.F == P.F) {
+        // Same value via another path: union the node sets (a larger
+        // Through only weakens strictness claims -- conservative).
+        E.Through.insert(P.Through.begin(), P.Through.end());
         return;
       }
-    Set.push_back(std::move(T));
+    Set.push_back(std::move(P));
   }
 
-  void classifySingleHeader(const SCR &Region, ir::Instruction *H) {
-    ir::Value *InitV = nullptr, *CarriedV = nullptr;
-    if (!splitHeaderPhi(H, L, InitV, CarriedV)) {
-      markAllUnknown(Region);
-      return;
-    }
-    const Affine Init = headerPhiInit(InitV, L);
-
-    EvalMemo Memo;
-    Memo.reserve(Region.Nodes.size() * 2);
-    std::optional<SymSet> Carried = evalValue(CarriedV, H, Memo);
-    if (!Carried || Carried->empty()) {
-      // The carried update itself is inexpressible (e.g. X' = X*X + m), but
-      // members of the region whose value is free of the header phi are
-      // still exact: project the solvable sub-recurrence out.
-      markAllUnknown(Region);
-      sweepPartialMembers(Region, H, Memo, /*Partial=*/true);
-      return;
-    }
-
-    if (Carried->size() == 1) {
-      const LinTerm &T = Carried->front();
-      std::optional<ClosedForm> HForm = solveLinearRecurrence(T.A, T.B, Init);
-      if (HForm) {
-        noteFamily(*HForm);
-        setClass(H, Classification::fromForm(L, *HForm));
-        // Family members: M = A*X + B over the solved X.
-        for (ir::Instruction *N : Region.Nodes) {
-          if (N == H)
-            continue;
-          auto MIt = Memo.find(N);
-          if (MIt == Memo.end() || !MIt->second ||
-              MIt->second->size() != 1) {
-            setClass(N, Classification::unknown());
-            continue;
-          }
-          const LinTerm &M = MIt->second->front();
-          setClass(N, Classification::fromForm(L, *HForm * M.A + M.B));
-        }
-        return;
-      }
-      if (T.A.isZero()) {
-        // X' = B(h) forgets its past each iteration but the initial value
-        // does not fit the shifted sequence (the solver handles the case
-        // where it does): a first-order wrap-around into B, phi(h) = B(h-1)
-        // for h >= 1.
-        ++S.WrapArounds;
-        setClass(H, Classification::wrapAround(
-                        L, 1, Classification::fromForm(L, T.B)));
-        for (ir::Instruction *N : Region.Nodes)
-          if (N != H)
-            setClass(N, Classification::unknown());
-        // Members free of the phi are exact for every h (not projections of
-        // an unsolved region -- the region head is classified).
-        sweepPartialMembers(Region, H, Memo, /*Partial=*/false);
-        return;
-      }
-    }
-    // Multiple paths or an unsolvable recurrence: monotonic analysis
-    // (section 4.4) over every possible per-iteration effect, then recover
-    // exact forms for phi-free members.
-    classifyMonotonic(Region, H, Init, *Carried);
-    sweepPartialMembers(Region, H, Memo, /*Partial=*/true);
-  }
-
-  /// Overwrites region members whose symbolic value has a zero coefficient
-  /// on the header phi with their exact closed form.  \p Partial marks forms
-  /// projected out of a region whose own update stayed unsolved.
-  void sweepPartialMembers(const SCR &Region, const ir::Instruction *H,
-                           const EvalMemo &Memo, bool Partial) {
-    static const stats::Counter NumPartialMembers("ivclass.partial_members");
-    for (ir::Instruction *N : Region.Nodes) {
-      if (N == H)
-        continue;
-      auto It = Memo.find(N);
-      if (It == Memo.end() || !It->second || It->second->size() != 1)
-        continue;
-      const LinTerm &T = It->second->front();
-      if (!T.A.isZero())
-        continue;
-      Classification C = Classification::fromForm(L, T.B);
-      C.Partial = Partial;
-      setClass(N, C);
-      if (Partial)
-        NumPartialMembers.bump();
-    }
-  }
-
-  //===------------------------------------------------------------------===//
-  // Coupled systems: several header phis updated linearly in each other
-  //===------------------------------------------------------------------===//
-
-  /// Region values as VecForms over the header-phi vector: the single-path
-  /// counterpart of LinTerm for systems (control-flow merges inside the
-  /// region are out of scope; the monotonic machinery does not apply to
-  /// vectors anyway).
-  using PhiIndexMap = std::map<const ir::Instruction *, unsigned>;
-
-  std::optional<VecForm> evalVecValue(ir::Value *V, const PhiIndexMap &PhiIdx,
-                                      VecMemo &Memo) {
-    const unsigned K = unsigned(PhiIdx.size());
-    if (auto *I = ir::dyn_cast<ir::Instruction>(V)) {
-      auto PIt = PhiIdx.find(I);
-      if (PIt != PhiIdx.end()) {
-        VecForm T{std::vector<Rational>(K), ClosedForm()};
-        T.A[PIt->second] = Rational(1);
-        return T;
-      }
-      if (inSCR(I))
-        return evalVecInst(I, PhiIdx, Memo);
-    }
-    const Classification &C = Map.classOf(V);
-    if (C.hasClosedForm())
-      return VecForm{std::vector<Rational>(K), C.Form};
-    return std::nullopt;
-  }
-
-  std::optional<VecForm> evalVecInst(ir::Instruction *I,
-                                     const PhiIndexMap &PhiIdx,
-                                     VecMemo &Memo) {
-    auto It = Memo.find(I);
-    if (It != Memo.end())
-      return It->second;
-    Memo[I] = std::nullopt;
-    // Phis inside the region (per-path values) are out of scope here.
-    std::optional<VecForm> Result = applyVecOp(I, [&](ir::Value *V) {
-      return evalVecValue(V, PhiIdx, Memo);
-    });
-    Memo[I] = Result;
-    return Result;
-  }
-
-  /// Classifies a region with K >= 2 header phis as the coupled system
-  /// X(h+1) = M * X(h) + B(h).  Components whose solution exists become
-  /// closed forms; when only some do, they are marked Partial.  Returns
-  /// false when the region does not even evaluate to a linear system (the
-  /// caller falls back to unknown).
-  bool classifySystem(const SCR &Region,
-                      const std::vector<ir::Instruction *> &HeaderPhis) {
+  /// Classifies a region with K >= 1 header phis X.  Each carried value is
+  /// evaluated over every path; when each is one path, the region is the
+  /// system X(h+1) = M * X(h) + B(h), solved exactly.  Components whose
+  /// solution exists become closed forms, marked Partial when only some do,
+  /// and members follow from their own forms over X.  A single header phi
+  /// the solver leaves gets the paper's other outcomes: a wrap-around when
+  /// its update forgets X, else the monotonic class (section 4.4).
+  void classifyRecurrence(const SCR &Region,
+                          const std::vector<ir::Instruction *> &HeaderPhis) {
     static const stats::Counter NumSystemRegions("ivclass.system_regions");
     const unsigned K = unsigned(HeaderPhis.size());
-    if (K > 4)
-      return false;
-    PhiIndexMap PhiIdx;
-    for (unsigned I = 0; I < K; ++I)
-      PhiIdx[HeaderPhis[I]] = I;
-
-    RatMatrix M(K, K);
-    std::vector<ClosedForm> B(K);
-    std::vector<Affine> Init(K);
-    VecMemo Memo;
-    Memo.reserve(Region.Nodes.size() * 2);
-    bool Evaluated = true;
-    for (unsigned I = 0; I < K && Evaluated; ++I) {
+    if (K > MaxSystemSize) {
+      markAllUnknown(Region);
+      return;
+    }
+    Eval.reset(HeaderPhis, Region.Nodes.size());
+    const PathSet *Carried[MaxSystemSize] = {};
+    bool OnePath = true;
+    for (unsigned I = 0; I < K; ++I) {
       ir::Value *InitV = nullptr, *CarriedV = nullptr;
-      if (!splitHeaderPhi(HeaderPhis[I], L, InitV, CarriedV)) {
-        Evaluated = false;
-        break;
+      if (splitHeaderPhi(HeaderPhis[I], L, InitV, CarriedV)) {
+        Eval.Init[I] = headerPhiInit(InitV, L);
+        Carried[I] = evalValue(CarriedV);
       }
-      Init[I] = headerPhiInit(InitV, L);
-      std::optional<VecForm> T = evalVecValue(CarriedV, PhiIdx, Memo);
-      if (!T) {
-        Evaluated = false;
-        break;
+      if (!Carried[I] || Carried[I]->empty()) {
+        // An update is inexpressible (e.g. X' = X*X + m), but members free
+        // of X are still exact: project them out.
+        markAllUnknown(Region);
+        sweepPartialMembers(Region, {}, /*Partial=*/true);
+        return;
       }
-      for (unsigned J = 0; J < K; ++J)
-        M.at(I, J) = T->A[J];
-      B[I] = std::move(T->B);
+      OnePath = OnePath && Carried[I]->size() == 1;
     }
 
-    unsigned Solved = 0;
     std::vector<std::optional<ClosedForm>> Sol;
-    if (Evaluated) {
-      NumSystemRegions.bump();
-      Sol = solveLinearSystem(M, B, Init);
+    if (OnePath) {
+      RatMatrix M(K, K);
+      for (unsigned I = 0; I < K; ++I) {
+        const VecForm &T = Carried[I]->front().F;
+        for (unsigned J = 0; J < K; ++J)
+          M.at(I, J) = T.A[J];
+        Eval.B[I] = T.B;
+      }
+      if (K >= 2)
+        NumSystemRegions.bump();
+      Sol = solveLinearSystem(M, Eval.B, Eval.Init);
+      unsigned Solved = 0;
       for (const std::optional<ClosedForm> &SF : Sol)
         Solved += SF.has_value();
+      if (Solved) {
+        classifySolved(Region, HeaderPhis, Sol, Solved < K);
+        return;
+      }
     }
-    if (!Solved) {
-      // Nothing solved (or the update is not linear): the region stays
-      // unknown, but phi-free members evaluated along the way are exact --
-      // project them out.
-      markAllUnknown(Region);
-      sweepPartialMembersVec(Region, PhiIdx, Memo, Sol);
-      return true;
-    }
-    const bool PartialSolve = Solved < K;
 
-    for (unsigned I = 0; I < K; ++I) {
-      if (Sol[I]) {
-        noteFamily(*Sol[I]);
-        Classification C = Classification::fromForm(L, *Sol[I]);
-        C.Partial = PartialSolve;
-        setClass(HeaderPhis[I], C);
-      } else {
-        setClass(HeaderPhis[I], Classification::unknown());
-      }
+    ir::Instruction *H = HeaderPhis.front();
+    const VecForm &Update = Carried[0]->front().F;
+    if (K == 1 && OnePath && Update.freeOfX()) {
+      // X' = B(h) forgets its past each iteration but the initial value
+      // does not fit the shifted sequence (the solver handles the case
+      // where it does): a first-order wrap-around into B, phi(h) = B(h-1)
+      // for h >= 1.
+      ++S.WrapArounds;
+      setClass(H, Classification::wrapAround(
+                      L, 1, Classification::fromForm(L, Update.B)));
+      for (ir::Instruction *N : Region.Nodes)
+        if (N != H)
+          setClass(N, Classification::unknown());
+      // Members free of the phi are exact for every h (not projections of
+      // an unsolved region -- the region head is classified).
+      sweepPartialMembers(Region, Sol, /*Partial=*/false);
+      return;
     }
-    // Members: exact whenever every component they depend on solved.
-    for (ir::Instruction *N : Region.Nodes) {
-      if (PhiIdx.count(N))
-        continue;
-      std::optional<ClosedForm> Form = memberForm(N, Memo, Sol);
-      if (Form) {
-        Classification C = Classification::fromForm(L, *Form);
-        C.Partial = PartialSolve;
-        setClass(N, C);
-      } else {
-        setClass(N, Classification::unknown());
-      }
-    }
-    return true;
+    if (K == 1)
+      // Several paths or an unsolvable update: monotonic analysis over
+      // every possible per-iteration effect.
+      classifyMonotonic(Region, H, Eval.Init[0], *Carried[0]);
+    else
+      markAllUnknown(Region);
+    sweepPartialMembers(Region, Sol, /*Partial=*/true);
   }
 
-  /// Closed form of a system-region member from its memoized VecForm:
-  /// sum_j A[j] * Sol[j] + B, defined when every component with a nonzero
-  /// coefficient solved.
+  /// Sets the solved family: each header phi with a solution Sol[j], and
+  /// each member whose form reads only solved components.  \p PartialSolve
+  /// marks every claim of a region some component of which stayed unsolved.
+  void classifySolved(const SCR &Region,
+                      const std::vector<ir::Instruction *> &HeaderPhis,
+                      const std::vector<std::optional<ClosedForm>> &Sol,
+                      bool PartialSolve) {
+    for (size_t I = 0; I < HeaderPhis.size(); ++I) {
+      if (!Sol[I]) {
+        setClass(HeaderPhis[I], Classification::unknown());
+        continue;
+      }
+      noteFamily(*Sol[I]);
+      setForm(HeaderPhis[I], *Sol[I], PartialSolve);
+    }
+    for (ir::Instruction *N : Region.Nodes) {
+      if (N->isPhi() && N->parent() == L->header())
+        continue;
+      if (std::optional<ClosedForm> Form = memberForm(N, Sol))
+        setForm(N, std::move(*Form), PartialSolve);
+      else
+        setClass(N, Classification::unknown());
+    }
+  }
+
+  void setForm(const ir::Instruction *I, ClosedForm Form, bool Partial) {
+    bool Created = false;
+    Classification &C = Map.getOrCreate(I, Created);
+    C = Classification::fromForm(L, std::move(Form));
+    C.Partial = Partial;
+  }
+
+  /// Closed form of region member \p N from its memoized paths: one path's
+  /// B + sum_j A[j] * Sol[j], defined when every component with a nonzero
+  /// coefficient solved.  Header phis have no entry.
   std::optional<ClosedForm>
-  memberForm(const ir::Instruction *N, const VecMemo &Memo,
+  memberForm(const ir::Instruction *N,
              const std::vector<std::optional<ClosedForm>> &Sol) {
-    auto It = Memo.find(N);
-    if (It == Memo.end() || !It->second)
+    auto It = Eval.Memo.find(N);
+    if (It == Eval.Memo.end() || !It->second || It->second->size() != 1)
       return std::nullopt;
-    const VecForm &T = *It->second;
-    ClosedForm Form = T.B;
+    const VecForm &T = It->second->front().F;
+    std::optional<ClosedForm> Form;
     for (size_t J = 0; J < T.A.size(); ++J) {
       if (T.A[J].isZero())
         continue;
       if (J >= Sol.size() || !Sol[J])
         return std::nullopt;
-      Form = Form + *Sol[J] * T.A[J];
+      Form = (Form ? *Form : T.B) + *Sol[J] * T.A[J];
     }
-    return Form;
+    if (Form)
+      return Form;
+    return T.B;
   }
 
-  /// The system-evaluator counterpart of sweepPartialMembers: after an
-  /// unsolved system region is marked unknown, members free of every header
-  /// phi keep their exact form, flagged Partial.
-  void sweepPartialMembersVec(
-      const SCR &Region, const PhiIndexMap &PhiIdx, const VecMemo &Memo,
-      const std::vector<std::optional<ClosedForm>> &Sol) {
+  /// Overwrites region members whose form needs no unsolved component with
+  /// their exact closed form.  \p Partial marks forms projected out of a
+  /// region whose own update stayed unsolved.
+  void sweepPartialMembers(const SCR &Region,
+                           const std::vector<std::optional<ClosedForm>> &Sol,
+                           bool Partial) {
     static const stats::Counter NumPartialMembers("ivclass.partial_members");
     for (ir::Instruction *N : Region.Nodes) {
-      if (PhiIdx.count(N))
-        continue;
-      std::optional<ClosedForm> Form = memberForm(N, Memo, Sol);
+      std::optional<ClosedForm> Form = memberForm(N, Sol);
       if (!Form)
         continue;
-      Classification C = Classification::fromForm(L, *Form);
-      C.Partial = true;
-      setClass(N, C);
-      NumPartialMembers.bump();
+      setForm(N, std::move(*Form), Partial);
+      if (Partial)
+        NumPartialMembers.bump();
     }
   }
 
@@ -998,15 +827,15 @@ private:
   /// move in direction \p Inc?  The paper's Figure 10 argument: when the
   /// node executes, the loop-header value must strictly advance before it
   /// can execute again.
-  static bool strictThrough(const ir::Instruction *N, const SymSet &Carried,
+  static bool strictThrough(const ir::Instruction *N, const PathSet &Carried,
                             const Affine &Init, bool Inc) {
     bool Any = false;
-    for (const LinTerm &T : Carried) {
+    for (const PathForm &T : Carried) {
       if (!T.Through.count(N))
         continue;
       Any = true;
-      MonoProof P = Inc ? proveIncreasing(T.A, T.B, Init)
-                        : proveIncreasing(T.A, -T.B, -Init);
+      MonoProof P = Inc ? proveIncreasing(T.F.A[0], T.F.B, Init)
+                        : proveIncreasing(T.F.A[0], -T.F.B, -Init);
       if (!P.Strict)
         return false;
     }
@@ -1050,13 +879,15 @@ private:
     return P;
   }
 
+  /// The monotonic class of a one-header region over every path \p
+  /// Carried of its update X' = A*X + B.
   void classifyMonotonic(const SCR &Region, ir::Instruction *H,
-                         const Affine &Init, const SymSet &Carried) {
+                         const Affine &Init, const PathSet &Carried) {
     bool AllIncNonDec = true, AllIncStrict = true;
     bool AllDecNonInc = true, AllDecStrict = true;
-    for (const LinTerm &T : Carried) {
-      MonoProof Up = proveIncreasing(T.A, T.B, Init);
-      MonoProof Down = proveIncreasing(T.A, -T.B, -Init);
+    for (const PathForm &T : Carried) {
+      MonoProof Up = proveIncreasing(T.F.A[0], T.F.B, Init);
+      MonoProof Down = proveIncreasing(T.F.A[0], -T.F.B, -Init);
       AllIncNonDec &= Up.NonDecreasing;
       AllIncStrict &= Up.Strict;
       AllDecNonInc &= Down.NonDecreasing;
@@ -1096,10 +927,39 @@ private:
   const analysis::Loop *L;
   SSAGraph G;
   ClassTable &Map;
-  const InductionAnalysis::Options &Opts;
   unsigned &NextFamilyId;
   InductionAnalysis::Stats &S;
   std::unordered_set<const ir::Array *> StoredArrays;
+
+  /// The recurrence region being evaluated: its header phis X, every
+  /// node's path set over them, memoized with the values the region reads,
+  /// and the solver's initial values and forcings.  Reset for each region
+  /// and kept across the loop's regions, which reuse its buffers.
+  struct RegionEval {
+    void reset(const std::vector<ir::Instruction *> &Phis, size_t Nodes) {
+      const size_t K = Phis.size();
+      HeaderPhis = &Phis;
+      Memo.clear();
+      Memo.reserve(Nodes * 2);
+      for (size_t J = 0; J < K; ++J) {
+        Units[J].assign(1, PathForm{{Coeffs(K), ClosedForm()}, {}});
+        Units[J][0].F.A[J] = Rational(1);
+      }
+      Init.assign(K, Affine());
+      B.resize(K);
+    }
+
+    const std::vector<ir::Instruction *> *HeaderPhis = nullptr;
+    /// nullopt = not linear in X (also the provisional entry that breaks a
+    /// malformed cycle).  Entries stay in place across inserts, so
+    /// evaluation hands out pointers into them.
+    std::unordered_map<const ir::Value *, std::optional<PathSet>> Memo;
+    /// Units[j]: X_j itself.
+    PathSet Units[MaxSystemSize];
+    std::vector<Affine> Init;
+    std::vector<ClosedForm> B;
+  };
+  RegionEval Eval;
   /// Instruction::seq() -> membership in the SCR currently being classified.
   std::vector<char> &InSCRMask;
 };
@@ -1149,8 +1009,7 @@ void InductionAnalysis::run() {
 }
 
 void InductionAnalysis::processLoop(const analysis::Loop *L) {
-  LoopClassifier(*this, L, tableFor(L), Opts, NextFamilyId, S, NodeBySeq,
-                 InSCRMask)
+  LoopClassifier(*this, L, tableFor(L), NextFamilyId, S, NodeBySeq, InSCRMask)
       .run();
 
   // Second chance for punted multi-branch loops: runs after the classifier

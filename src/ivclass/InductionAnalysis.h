@@ -13,9 +13,11 @@
 /// an order that guarantees all operands of a region are classified first.
 /// Trivial regions are classified by an algebra over the operand classes
 /// (section 5.1); a lone loop-header phi is a wrap-around variable (4.1);
-/// cycles of header phis are periodic families (4.2); single-header-phi
-/// cycles are evaluated symbolically to X' = A*X + B(h) and solved exactly
-/// (linear 3.1, polynomial/geometric 4.3) or downgraded to monotonic (4.4).
+/// cycles of header phis are periodic families (4.2); every other cycle
+/// through K header phis is evaluated symbolically, over every path, to
+/// X' = M*X + B(h) and solved exactly (linear 3.1, polynomial/geometric
+/// 4.3, and coupled c-finite systems), and a single header phi the solver
+/// leaves is downgraded to monotonic (4.4).
 /// Countable inner loops get their trip count (5.2) and materialized exit
 /// values (5.3, Figures 7-9) so the enclosing loop sees ordinary operands.
 ///
@@ -174,7 +176,6 @@ public:
 
   ir::Function &function() const { return F; }
   const analysis::LoopInfo &loopInfo() const { return LI; }
-  const analysis::DominatorTree &domTree() const { return DT; }
 
   /// Names affine symbols by their IR value name.
   SymbolNamer namer() const;

@@ -365,7 +365,7 @@ private:
   }
 
   VecForm invariant(ClosedForm B) const {
-    return VecForm{std::vector<Rational>(Unknowns.size()), std::move(B)};
+    return VecForm{Coeffs(Unknowns.size()), std::move(B)};
   }
 
   /// Value of classified header phi \p Phi on iterations h === P (mod K).

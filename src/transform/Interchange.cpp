@@ -6,20 +6,6 @@ using namespace biv;
 using namespace biv::transform;
 using namespace biv::dependence;
 
-const char *biv::transform::interchangeVerdictName(InterchangeVerdict V) {
-  switch (V) {
-  case InterchangeVerdict::Legal:
-    return "legal";
-  case InterchangeVerdict::IllegalDirection:
-    return "illegal: a dependence carries (<, >)";
-  case InterchangeVerdict::NotPerfectlyNested:
-    return "not an immediately nested pair";
-  case InterchangeVerdict::UnknownDependence:
-    return "unknown dependence blocks the proof";
-  }
-  return "<bad>";
-}
-
 InterchangeVerdict
 biv::transform::canInterchange(const analysis::Loop *Outer,
                                const analysis::Loop *Inner,

@@ -31,8 +31,6 @@ enum class InterchangeVerdict {
   UnknownDependence,  ///< A dependence has no direction information at all.
 };
 
-const char *interchangeVerdictName(InterchangeVerdict V);
-
 /// Decides whether \p Outer and its immediate sub-loop \p Inner can be
 /// interchanged, from the direction vectors in \p Deps (as produced by
 /// DependenceAnalyzer::analyze on the same function).

@@ -328,6 +328,69 @@ TEST(CFinitePipelineTest, CoupledSystemMatchesExecution) {
   }
 }
 
+TEST(CFinitePipelineTest, NonLinearCoupledUpdateFormsNoSystem) {
+  // The linear u/v pair forms one system; u*v reads two header phis at
+  // once, so that update is not linear in them, no system is formed, and
+  // the region stays unknown.
+  const stats::Counter Systems("ivclass.system_regions");
+  auto systemsIn = [&](const char *Src) {
+    const stats::Frame Before = stats::captureFrame();
+    Analyzed A = analyze(Src);
+    const stats::Frame D = stats::captureFrame() - Before;
+    return std::make_pair(std::move(A), D.Counters[Systems.index()]);
+  };
+  auto [Linear, LinearSystems] = systemsIn("func f(n) {\n"
+                                           " u = 1;\n"
+                                           " v = 2;\n"
+                                           " for L1: i = 0 to n {\n"
+                                           " w = u + 2*v;\n"
+                                           " v = 2*u + v;\n"
+                                           " u = w;\n"
+                                           " }\n"
+                                           " return u + v;\n"
+                                           "}");
+  EXPECT_EQ(LinearSystems, 1u);
+  EXPECT_TRUE(Linear.cls("L1", "u").hasClosedForm());
+  auto [Product, ProductSystems] = systemsIn("func f(n) {\n"
+                                             " u = 1;\n"
+                                             " v = 2;\n"
+                                             " for L1: i = 0 to n {\n"
+                                             " w = u*v + 1;\n"
+                                             " v = u + v;\n"
+                                             " u = w;\n"
+                                             " }\n"
+                                             " return u + v;\n"
+                                             "}");
+  EXPECT_EQ(ProductSystems, 0u);
+  for (const char *Var : {"u", "v"})
+    EXPECT_TRUE(Product.cls("L1", Var).isUnknown()) << Var;
+}
+
+TEST(CFinitePipelineTest, RotationPastMaxSystemSizeStaysUnknown) {
+  // Five header phis rotate with an increment on the way: not a pure ring
+  // (section 4.2) because of the add, and one phi more than the largest
+  // system the solver takes.
+  static_assert(MaxSystemSize == 4, "the rotation below has five phis");
+  Analyzed A = analyze("func f(n) {\n"
+                       " a = 1;\n"
+                       " b = 2;\n"
+                       " c = 3;\n"
+                       " d = 4;\n"
+                       " e = 5;\n"
+                       " for L1: i = 0 to n {\n"
+                       " t = a + 1;\n"
+                       " a = b;\n"
+                       " b = c;\n"
+                       " c = d;\n"
+                       " d = e;\n"
+                       " e = t;\n"
+                       " }\n"
+                       " return a + e;\n"
+                       "}");
+  for (const char *Var : {"a", "b", "c", "d", "e"})
+    EXPECT_TRUE(A.cls("L1", Var).isUnknown()) << Var;
+}
+
 TEST(CFinitePipelineTest, UnsolvableSCCProjectsPartialMembers) {
   Analyzed A = analyze("func f(n) {\n"
                        " px = 1;\n"

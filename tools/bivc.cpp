@@ -201,9 +201,8 @@ bool parseBounded(const char *Flag, const std::string &Text, uint64_t Min,
                   uint64_t Max, uint64_t &Out) {
   if (Text.empty() ||
       Text.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr,
-                 "bivc: %s requires a positive integer, got '%s'\n", Flag,
-                 Text.c_str());
+    std::fprintf(stderr, "bivc: %s requires a %s integer, got '%s'\n", Flag,
+                 Min == 0 ? "non-negative" : "positive", Text.c_str());
     return false;
   }
   uint64_t V = 0;

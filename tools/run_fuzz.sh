@@ -159,6 +159,17 @@ for T in ivclass_edge_test ivclass_nested_test corpus_test fuzz_test; do
 done
 echo "fuzz: valueAt/exitValue, corpus and fuzz suites clean under ASan/UBSan"
 
+# The one recurrence-region evaluator (path sets of VecForms, solved through
+# solveLinearSystem for every K) has its own suite, ivclass_test, and
+# dependence_extended_test consumes the per-member strictness it derives
+# from each path's Through set (Figure 10).
+cmake --build "$BUILD" --target ivclass_test dependence_extended_test \
+  -j "$(nproc)" >/dev/null
+"$BUILD/tests/ivclass_test" >/dev/null
+"$BUILD/tests/dependence_extended_test" >/dev/null
+echo "fuzz: region evaluator and Figure 10 strictness suites clean under" \
+     "ASan/UBSan"
+
 # A slice of the budget runs with the cache oracle forced on for every
 # program; the main campaign keeps the default sampled (~1/8) oracle.
 "$BIVC" --fuzz "$((COUNT / 10 + 1))" --seed "$((SEED + 1))" --cache-oracle
