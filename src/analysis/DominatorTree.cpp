@@ -190,126 +190,3 @@ DominanceFrontier::DominanceFrontier(const DominatorTree &DT) {
       Flat[--At] = Pool[E].first;
   }
 }
-
-PostDominatorTree::PostDominatorTree(const ir::Function &F) : F(F) {
-  size_t N = F.numBlocks();
-  IPDom.assign(N + 1, -1);
-  Level.assign(N + 1, 0);
-  HasNode.assign(N + 1, 0);
-  const int Virtual = static_cast<int>(N);
-  HasNode[Virtual] = 1;
-
-  // Post order on the reverse CFG from the virtual exit.
-  std::vector<int> RPONum(N + 1, -1);
-  std::vector<ir::BasicBlock *> Order; // reverse-CFG RPO, excluding virtual
-  {
-    std::vector<char> Visited(N, 0);
-    std::vector<ir::BasicBlock *> Post;
-    // Iterative DFS over reverse edges, rooted at every exit block.
-    struct Frame {
-      ir::BasicBlock *BB;
-      std::span<ir::BasicBlock *const> Preds;
-      size_t Next = 0;
-    };
-    std::vector<Frame> Stack;
-    // Blocks ending in Ret (no successors) are the exits.
-    for (ir::BasicBlock *BB : F.blocks()) {
-      if (!BB->successors().empty())
-        continue;
-      if (Visited[BB->id()])
-        continue;
-      Visited[BB->id()] = 1;
-      Stack.push_back({BB, BB->predecessors()});
-      while (!Stack.empty()) {
-        Frame &Fr = Stack.back();
-        if (Fr.Next == Fr.Preds.size()) {
-          Post.push_back(Fr.BB);
-          Stack.pop_back();
-          continue;
-        }
-        ir::BasicBlock *P = Fr.Preds[Fr.Next++];
-        if (!Visited[P->id()]) {
-          Visited[P->id()] = 1;
-          Stack.push_back({P, P->predecessors()});
-        }
-      }
-    }
-    Order.assign(Post.rbegin(), Post.rend());
-  }
-  RPONum[Virtual] = 0;
-  for (size_t I = 0; I < Order.size(); ++I) {
-    RPONum[Order[I]->id()] = static_cast<int>(I) + 1;
-    HasNode[Order[I]->id()] = 1;
-  }
-
-  // CHK on the reverse graph; Doms indexed by reverse-RPO number.
-  std::vector<int> Doms(Order.size() + 1, -1);
-  Doms[0] = 0;
-  auto intersect = [&](int A, int B) {
-    while (A != B) {
-      while (A > B)
-        A = Doms[A];
-      while (B > A)
-        B = Doms[B];
-    }
-    return A;
-  };
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t I = 0; I < Order.size(); ++I) {
-      ir::BasicBlock *BB = Order[I];
-      int MyNum = static_cast<int>(I) + 1;
-      int NewIdom = -1;
-      // Reverse-graph predecessors are CFG successors; exits also have the
-      // virtual node as a predecessor.
-      std::span<ir::BasicBlock *const> Succs = BB->successors();
-      if (Succs.empty())
-        NewIdom = 0;
-      for (ir::BasicBlock *S : Succs) {
-        int SN = RPONum[S->id()];
-        if (SN < 0 || Doms[SN] < 0)
-          continue;
-        NewIdom = NewIdom < 0 ? SN : intersect(SN, NewIdom);
-      }
-      if (NewIdom >= 0 && Doms[MyNum] != NewIdom) {
-        Doms[MyNum] = NewIdom;
-        Changed = true;
-      }
-    }
-  }
-
-  // Translate back to block ids and compute levels.
-  std::vector<int> NumToId(Order.size() + 1, Virtual);
-  for (size_t I = 0; I < Order.size(); ++I)
-    NumToId[I + 1] = static_cast<int>(Order[I]->id());
-  for (size_t I = 0; I < Order.size(); ++I) {
-    int D = Doms[I + 1];
-    IPDom[Order[I]->id()] = D < 0 ? -1 : NumToId[D];
-  }
-  // Levels via repeated walking (graphs are small).
-  for (size_t I = 0; I < Order.size(); ++I) {
-    int Cur = static_cast<int>(Order[I]->id());
-    int L = 0;
-    while (Cur != Virtual && Cur >= 0) {
-      Cur = IPDom[Cur];
-      ++L;
-    }
-    Level[Order[I]->id()] = L;
-  }
-}
-
-bool PostDominatorTree::postDominates(const ir::BasicBlock *A,
-                                      const ir::BasicBlock *B) const {
-  if (!HasNode[A->id()] || !HasNode[B->id()])
-    return false;
-  int Target = static_cast<int>(A->id());
-  int Cur = static_cast<int>(B->id());
-  const int Virtual = static_cast<int>(F.numBlocks());
-  while (Cur >= 0 && Cur != Virtual) {
-    if (Cur == Target)
-      return true;
-    Cur = IPDom[Cur];
-  }
-  return false;
-}

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dominator tree, dominance frontiers, and post-dominator tree.
+/// Dominator tree and dominance frontiers.
 ///
 /// Implemented with the Cooper-Harvey-Kennedy iterative algorithm ("A
 /// Simple, Fast Dominance Algorithm").  Dominance frontiers feed phi
 /// placement in the SSA builder (the Cytron et al. construction the paper
-/// builds on); post-dominance supports the section 5.4 refinement that a use
-/// post-dominated by a strictly monotonic update is itself strict.
+/// builds on).  The section 5.4 strictness refinement needs no
+/// post-dominators: it reads the Through sets of the recurrence paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,23 +84,6 @@ private:
   /// CSR layout: Flat[Start[id] .. Start[id+1]) is block id's frontier.
   std::vector<uint32_t> Start;
   std::vector<ir::BasicBlock *> Flat;
-};
-
-/// Post-dominator tree computed on the reverse CFG with a virtual exit that
-/// succeeds every Ret block.  Blocks that cannot reach any exit (infinite
-/// loops) have no node; postDominates() is false for them.
-class PostDominatorTree {
-public:
-  explicit PostDominatorTree(const ir::Function &F);
-
-  /// Reflexive post-dominance.
-  bool postDominates(const ir::BasicBlock *A, const ir::BasicBlock *B) const;
-
-private:
-  const ir::Function &F;
-  std::vector<int> IPDom;        // by block id; -1 = none; NumBlocks = virtual
-  std::vector<int> Level;        // depth from virtual root
-  std::vector<char> HasNode;
 };
 
 } // namespace analysis

@@ -228,6 +228,15 @@ std::string buildFooter(const std::map<uint64_t, uint64_t> &Offsets,
   return Footer;
 }
 
+/// One entry record of the log: [digest][len][payload].
+std::string frameRecord(uint64_t Digest, const CacheEntry &E) {
+  std::string Payload = E.serialize();
+  std::string Record;
+  putU64(Record, Digest);
+  putU64(Record, Payload.size());
+  return Record + Payload;
+}
+
 bool writeAllAt(int Fd, uint64_t Off, const char *Buf, size_t Len) {
   size_t Done = 0;
   while (Done < Len) {
@@ -297,18 +306,63 @@ uint64_t AnalysisCache::accessOf(uint64_t Digest) const {
   return It == AccessSeq.end() ? 0 : It->second;
 }
 
-bool AnalysisCache::adoptImage(const char *Data, size_t Size,
-                               const ParsedImage &Img) {
-  // Caller holds the exclusive lock and hands us a fresh mapping it owns;
-  // we take it over.  Materialized entries and pending inserts are kept --
-  // content-addressing makes any overlap byte-identical.
+/// A read-only mapping of a cache file and the index it holds.
+struct AnalysisCache::Mapping {
+  const char *Base = nullptr;
+  size_t Len = 0;
+  dev_t Dev = 0;
+  ino_t Ino = 0;
+  ParsedImage Img;
+};
+
+AnalysisCache::MapStatus AnalysisCache::mapFile(int Fd,
+                                                const ParsedImage *Known,
+                                                Mapping &Out) {
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode))
+    return MapStatus::Unreadable;
+  if (uint64_t(St.st_size) < HeaderBytes + TailBytes)
+    return MapStatus::Damaged; // Too short to be a cache, zero-length too.
+  void *Base = ::mmap(nullptr, size_t(St.st_size), PROT_READ, MAP_SHARED,
+                      Fd, 0);
+  if (Base == MAP_FAILED)
+    return MapStatus::Unmappable;
+  Out.Base = static_cast<const char *>(Base);
+  Out.Len = size_t(St.st_size);
+  Out.Dev = St.st_dev;
+  Out.Ino = St.st_ino;
+  if (Known) {
+    Out.Img = *Known;
+    return MapStatus::Mapped;
+  }
+  if (parseImage(Out.Base, Out.Len, Out.Img))
+    return MapStatus::Mapped;
+  ::munmap(Base, Out.Len);
+  return MapStatus::Damaged;
+}
+
+AnalysisCache::MapStatus AnalysisCache::mapPath(const std::string &P,
+                                                Mapping &Out) {
+  int Fd = ::open(P.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return errno == ENOENT ? MapStatus::Missing : MapStatus::Unreadable;
+  MapStatus Status = mapFile(Fd, nullptr, Out);
+  ::close(Fd); // The mapping keeps the file alive.
+  return Status;
+}
+
+void AnalysisCache::adoptLocked(Mapping &Map) {
+  // Caller holds the exclusive lock; the mapping becomes ours.
+  // Materialized entries and pending inserts are kept -- content-addressing
+  // makes any overlap byte-identical.
   unmapLocked();
-  MapBase = Data;
-  MapLen = Size;
-  DiskOffsets = Img.Offsets;
-  DiskLogEnd = Img.IndexOff;
-  Generation = Img.Generation;
-  return true;
+  MapBase = Map.Base;
+  MapLen = Map.Len;
+  MapDev = Map.Dev;
+  MapIno = Map.Ino;
+  DiskOffsets = std::move(Map.Img.Offsets);
+  DiskLogEnd = Map.Img.IndexOff;
+  Generation = Map.Img.Generation;
 }
 
 void AnalysisCache::discardDiskLocked() {
@@ -335,45 +389,24 @@ bool AnalysisCache::open(const std::string &P, std::string &Error) {
     AccessSeq.clear();
   }
 
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0) {
-    if (errno == ENOENT)
-      return true; // First run: empty cache, created by save().
-    Error = "cannot read cache file '" + Path + "'";
-    return false;
-  }
-  struct stat St;
-  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode)) {
-    ::close(Fd);
-    Error = "cannot read cache file '" + Path + "'";
-    return false;
-  }
-  if (uint64_t(St.st_size) < HeaderBytes + TailBytes) {
-    // Too short to be a cache (including zero-length): structural damage.
-    ::close(Fd);
+  Mapping Map;
+  switch (mapPath(Path, Map)) {
+  case MapStatus::Mapped:
+    adoptLocked(Map);
+    return true;
+  case MapStatus::Missing:
+    return true; // First run: empty cache, created by save().
+  case MapStatus::Damaged:
     Invalidated = true;
     return true;
-  }
-
-  void *Base = ::mmap(nullptr, size_t(St.st_size), PROT_READ, MAP_SHARED,
-                      Fd, 0);
-  ::close(Fd); // The mapping keeps the file alive.
-  if (Base == MAP_FAILED) {
-    Error = "cannot map cache file '" + Path + "'";
+  case MapStatus::Unreadable:
+    Error = "cannot read cache file '" + Path + "'";
     return false;
+  case MapStatus::Unmappable:
+    break;
   }
-
-  ParsedImage Img;
-  if (!parseImage(static_cast<const char *>(Base), size_t(St.st_size),
-                  Img)) {
-    ::munmap(Base, size_t(St.st_size));
-    Invalidated = true;
-    return true;
-  }
-  adoptImage(static_cast<const char *>(Base), size_t(St.st_size), Img);
-  MapDev = St.st_dev;
-  MapIno = St.st_ino;
-  return true;
+  Error = "cannot map cache file '" + Path + "'";
+  return false;
 }
 
 const CacheEntry *AnalysisCache::lookup(uint64_t Digest) {
@@ -425,11 +458,7 @@ const CacheEntry *AnalysisCache::lookup(uint64_t Digest) {
 
 void AnalysisCache::insert(uint64_t Digest, CacheEntry E) {
   // Serialize outside the lock; writers contend only on the map touch.
-  std::string Record;
-  std::string Payload = E.serialize();
-  putU64(Record, Digest);
-  putU64(Record, Payload.size());
-  Record += Payload;
+  std::string Record = frameRecord(Digest, E);
   std::unique_lock<std::shared_mutex> Lock(M);
   if (Entries.count(Digest))
     return; // Content-addressed: same key, same bytes.
@@ -467,35 +496,17 @@ bool AnalysisCache::refreshIfChanged() {
 
   // Map and validate the new image before touching shared state, so a torn
   // concurrent append is skipped, not adopted.
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
+  Mapping Map;
+  if (mapPath(Path, Map) != MapStatus::Mapped)
     return false;
-  if (::fstat(Fd, &St) != 0 ||
-      uint64_t(St.st_size) < HeaderBytes + TailBytes) {
-    ::close(Fd);
-    return false;
-  }
-  void *Base = ::mmap(nullptr, size_t(St.st_size), PROT_READ, MAP_SHARED,
-                      Fd, 0);
-  ::close(Fd);
-  if (Base == MAP_FAILED)
-    return false;
-  ParsedImage Img;
-  if (!parseImage(static_cast<const char *>(Base), size_t(St.st_size),
-                  Img)) {
-    ::munmap(Base, size_t(St.st_size));
-    return false;
-  }
 
   std::unique_lock<std::shared_mutex> Lock(M);
-  if (Img.Generation == Generation && Img.IndexOff == DiskLogEnd &&
-      St.st_dev == MapDev && St.st_ino == MapIno) {
-    ::munmap(Base, size_t(St.st_size));
+  if (Map.Img.Generation == Generation && Map.Img.IndexOff == DiskLogEnd &&
+      Map.Dev == MapDev && Map.Ino == MapIno) {
+    ::munmap(const_cast<char *>(Map.Base), Map.Len);
     return false; // Raced a concurrent refresh to the same view.
   }
-  adoptImage(static_cast<const char *>(Base), size_t(St.st_size), Img);
-  MapDev = St.st_dev;
-  MapIno = St.st_ino;
+  adoptLocked(Map);
   return true;
 }
 
@@ -569,7 +580,7 @@ bool AnalysisCache::save(std::string &Error) {
       Generation = DiskImg.Generation;
     }
   } else {
-    // Empty (just created) or damaged by a torn writer: rewrite fresh from
+    // Empty (just created), stale or damaged: write a whole new image from
     // everything this process knows.  Entries never materialized are lost
     // -- wholesale invalidation, never a corrupt hit.
     if (FdSt.st_size != 0)
@@ -581,18 +592,11 @@ bool AnalysisCache::save(std::string &Error) {
   }
 
   // --- Lay out the records to append. -------------------------------------
-  // Fresh mode additionally re-serializes every in-memory entry, in digest
-  // order so the file bytes are deterministic for any worker count.
+  // A fresh image re-serializes every in-memory entry.
   std::vector<std::pair<uint64_t, std::string>> Append;
   if (DiskLogEnd == 0) {
-    for (const auto &[Digest, E] : Entries) {
-      std::string Record;
-      std::string Payload = E.serialize();
-      putU64(Record, Digest);
-      putU64(Record, Payload.size());
-      Record += Payload;
-      Append.emplace_back(Digest, std::move(Record));
-    }
+    for (const auto &[Digest, E] : Entries)
+      Append.emplace_back(Digest, frameRecord(Digest, E));
   } else {
     for (auto &[Digest, Record] : PendingLog)
       if (!DiskOffsets.count(Digest))
@@ -601,21 +605,13 @@ bool AnalysisCache::save(std::string &Error) {
 
   uint64_t LogEnd = DiskLogEnd ? DiskLogEnd : HeaderBytes;
   std::map<uint64_t, uint64_t> NewOffsets = DiskOffsets;
-  std::string NewLog;
-  if (DiskLogEnd == 0) {
-    putU64(NewLog, Magic1);
-    putU64(NewLog, CacheFormatVersion);
-    putU64(NewLog, AnalysisVersionSalt);
-  }
   for (const auto &[Digest, Record] : Append) {
     NewOffsets[Digest] = LogEnd;
-    NewLog += Record;
     LogEnd += Record.size();
   }
-
-  uint64_t NewGen = Generation + 1;
+  const uint64_t NewGen = Generation + 1;
   std::string Footer = buildFooter(NewOffsets, LogEnd, NewGen);
-  uint64_t FinalSize = LogEnd + Footer.size();
+  const bool Compact = MaxBytes != 0 && LogEnd + Footer.size() > MaxBytes;
 
   auto Fail = [&](const char *What) {
     ::close(Fd);
@@ -623,162 +619,121 @@ bool AnalysisCache::save(std::string &Error) {
             std::strerror(errno);
     return false;
   };
-
-  if (MaxBytes != 0 && FinalSize > MaxBytes) {
-    // --- Compact: rewrite to a temp file keeping the most recently used
-    // entries that fit, then atomically rename into place.  Live readers
-    // keep their old inode; the bumped generation (and new inode) flags
-    // the swap for refreshIfChanged().
-    struct Survivor {
-      uint64_t Digest;
-      uint64_t Access;
-      uint64_t DiskOff;  // record offset in Disk, or ~0 when appended...
-      uint64_t RecLen;
-      std::string Owned; // ...with the record bytes owned here instead
-      const char *rec(const std::string &Disk) const {
-        return DiskOff == ~0ull ? Owned.data() : Disk.data() + DiskOff;
-      }
-    };
-    std::vector<Survivor> Cands;
-    for (const auto &[Digest, Off] : NewOffsets) {
-      Survivor S;
-      S.Digest = Digest;
-      S.Access = accessOf(Digest);
-      if (Off >= DiskLogEnd || DiskLogEnd == 0) {
-        // Appended this save: find it in Append (small; linear is fine).
-        S.DiskOff = ~0ull;
-        for (const auto &[D, Record] : Append)
-          if (D == Digest) {
-            S.Owned = Record;
-            break;
-          }
-        S.RecLen = S.Owned.size();
-      } else {
-        size_t Pos = size_t(Off) + 8; // skip digest, read len
-        uint64_t RecLen = 0;
-        getU64(Disk.data(), Disk.size(), Pos, RecLen);
-        S.DiskOff = Off;
-        S.RecLen = RecordHeaderBytes + RecLen;
-      }
-      Cands.push_back(std::move(S));
-    }
-    // Most recently used first; ties (never touched) by digest for
-    // determinism.
-    std::sort(Cands.begin(), Cands.end(),
-              [](const Survivor &A, const Survivor &B) {
-                if (A.Access != B.Access)
-                  return A.Access > B.Access;
-                return A.Digest < B.Digest;
-              });
-    std::vector<const Survivor *> Keep;
-    uint64_t KeptBytes = 0;
-    for (const Survivor &S : Cands) {
-      if (imageBytes(Keep.size() + 1, KeptBytes + S.RecLen) > MaxBytes)
-        continue; // Doesn't fit; a smaller, colder entry later still might.
-      Keep.push_back(&S);
-      KeptBytes += S.RecLen;
-    }
-    // Rebuild the image: header, surviving records in digest order (the
-    // on-disk order is a cache artifact; keep it canonical), index, tail.
-    std::sort(Keep.begin(), Keep.end(),
-              [](const Survivor *A, const Survivor *B) {
-                return A->Digest < B->Digest;
-              });
-    std::string Image;
-    putU64(Image, Magic1);
-    putU64(Image, CacheFormatVersion);
-    putU64(Image, AnalysisVersionSalt);
-    std::map<uint64_t, uint64_t> KeptOffsets;
-    for (const Survivor *S : Keep) {
-      KeptOffsets[S->Digest] = Image.size();
-      Image.append(S->rec(Disk), size_t(S->RecLen));
-    }
-    uint64_t KeptLogEnd = Image.size();
-    Image += buildFooter(KeptOffsets, KeptLogEnd, NewGen);
-
-    std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-    int TFd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                     0644);
-    if (TFd < 0)
-      return Fail("cannot write");
-    if (!writeAllAt(TFd, 0, Image.data(), Image.size()) ||
-        ::fsync(TFd) != 0) {
-      ::close(TFd);
-      ::unlink(Tmp.c_str());
-      return Fail("cannot write");
-    }
-    ::close(TFd);
-    if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-      ::unlink(Tmp.c_str());
-      return Fail("cannot replace");
-    }
-    ::close(Fd); // Releases the flock held on the now-unlinked inode.
-    ++NumCompactions;
-
-    // Adopt the compacted view.  Entries evicted from disk stay usable in
-    // memory (node stability) but will re-append on a future save only if
-    // re-inserted; PendingLog is spent either way.
-    ParsedImage KeptImg;
-    KeptImg.IndexOff = KeptLogEnd;
-    KeptImg.Generation = NewGen;
-    KeptImg.Offsets = KeptOffsets;
-
-    int RFd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-    struct stat RSt;
-    void *Base = MAP_FAILED;
-    if (RFd >= 0 && ::fstat(RFd, &RSt) == 0)
-      Base = ::mmap(nullptr, size_t(RSt.st_size), PROT_READ, MAP_SHARED,
-                    RFd, 0);
-    if (RFd >= 0)
-      ::close(RFd);
-    if (Base == MAP_FAILED) {
+  // Maps the file just written, open on \p WFd, as the new view with the
+  // index this save built (no re-parse).
+  auto adoptWritten = [&](int WFd, ParsedImage Known) {
+    Mapping Map;
+    if (mapFile(WFd, &Known, Map) != MapStatus::Mapped) {
       // We wrote it; failing to map our own file is a hard error.
       Error = "cannot map cache file '" + Path + "'";
       return false;
     }
-    adoptImage(static_cast<const char *>(Base), size_t(RSt.st_size),
-               KeptImg);
-    MapDev = RSt.st_dev;
-    MapIno = RSt.st_ino;
+    adoptLocked(Map);
     PendingLog.clear();
     Invalidated = false;
     return true;
+  };
+
+  if (DiskLogEnd != 0 && !Compact) {
+    // --- Plain append: records from DiskLogEnd, then the new footer.  The
+    // file only grows, and bytes below DiskLogEnd never change, so a reader
+    // mapping the old size keeps a consistent snapshot.
+    std::string NewLog;
+    for (const auto &[Digest, Record] : Append)
+      NewLog += Record;
+    if (!writeAllAt(Fd, DiskLogEnd, NewLog.data(), NewLog.size()) ||
+        !writeAllAt(Fd, LogEnd, Footer.data(), Footer.size()))
+      return Fail("cannot write");
+    // Map through a second, unlocked file description, opened while the
+    // lock still pins the path to this inode: a mapping keeps its file
+    // description alive, and a flock with it.
+    int RFd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+    bool OK = adoptWritten(RFd, {LogEnd, NewGen, std::move(NewOffsets)});
+    if (RFd >= 0)
+      ::close(RFd);
+    ::close(Fd);
+    return OK;
   }
 
-  // --- Plain append: records from DiskLogEnd, then the new footer. --------
-  uint64_t WriteOff = DiskLogEnd ? DiskLogEnd : 0;
-  if (!writeAllAt(Fd, WriteOff, NewLog.data(), NewLog.size()) ||
-      !writeAllAt(Fd, LogEnd, Footer.data(), Footer.size()))
+  // --- Whole image: the first save, the rewrite of a stale or damaged file,
+  // or a compaction.  Written to a temp file, fsynced and renamed into
+  // place: a live reader keeps its old inode whole (an in-place rewrite
+  // would truncate it under the reader's mapping), and the new inode and
+  // generation flag the swap for refreshIfChanged().  A compaction keeps
+  // the most recently used records that fit under the cap.
+  struct Record {
+    uint64_t Digest;
+    const char *Bytes;
+    uint64_t Len;
+  };
+  std::vector<Record> Keep;
+  for (const auto &[Digest, Off] : DiskOffsets) {
+    size_t Pos = size_t(Off) + 8; // skip digest, read len
+    uint64_t RecLen = 0;
+    getU64(Disk.data(), Disk.size(), Pos, RecLen);
+    Keep.push_back({Digest, Disk.data() + Off, RecordHeaderBytes + RecLen});
+  }
+  for (const auto &[Digest, Bytes] : Append)
+    Keep.push_back({Digest, Bytes.data(), Bytes.size()});
+  if (Compact) {
+    std::vector<std::pair<uint64_t, Record>> Cands; // (access, record)
+    for (const Record &R : Keep)
+      Cands.emplace_back(accessOf(R.Digest), R);
+    // Most recently used first; ties (never touched) by digest for
+    // determinism.
+    std::sort(Cands.begin(), Cands.end(), [](const auto &A, const auto &B) {
+      if (A.first != B.first)
+        return A.first > B.first;
+      return A.second.Digest < B.second.Digest;
+    });
+    Keep.clear();
+    uint64_t KeptBytes = 0;
+    for (const auto &[Access, R] : Cands) {
+      if (imageBytes(Keep.size() + 1, KeptBytes + R.Len) > MaxBytes)
+        continue; // Doesn't fit; a smaller, colder entry later still might.
+      Keep.push_back(R);
+      KeptBytes += R.Len;
+    }
+  }
+  // Records in digest order: the on-disk order is a cache artifact; keep
+  // it canonical.
+  std::sort(Keep.begin(), Keep.end(), [](const Record &A, const Record &B) {
+    return A.Digest < B.Digest;
+  });
+  std::string Image;
+  putU64(Image, Magic1);
+  putU64(Image, CacheFormatVersion);
+  putU64(Image, AnalysisVersionSalt);
+  ParsedImage Kept;
+  for (const Record &R : Keep) {
+    Kept.Offsets[R.Digest] = Image.size();
+    Image.append(R.Bytes, size_t(R.Len));
+  }
+  Kept.IndexOff = Image.size();
+  Kept.Generation = NewGen;
+  Image += buildFooter(Kept.Offsets, Kept.IndexOff, NewGen);
+
+  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
+  int TFd = ::open(Tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (TFd < 0)
     return Fail("cannot write");
-  // An append never shrinks the file (the new footer indexes a superset of
-  // the old), but trim defensively so a logic change can't leave trailing
-  // garbage.
-  if (uint64_t(FdSt.st_size) > FinalSize)
-    if (::ftruncate(Fd, off_t(FinalSize)) != 0)
-      return Fail("cannot truncate");
-  ::close(Fd);
-
-  // Remap so lazy lookups can serve what we just wrote.
-  int RFd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  struct stat RSt;
-  void *Base = MAP_FAILED;
-  if (RFd >= 0 && ::fstat(RFd, &RSt) == 0)
-    Base = ::mmap(nullptr, size_t(RSt.st_size), PROT_READ, MAP_SHARED, RFd,
-                  0);
-  if (RFd >= 0)
-    ::close(RFd);
-  if (Base == MAP_FAILED) {
-    Error = "cannot map cache file '" + Path + "'";
-    return false;
+  if (!writeAllAt(TFd, 0, Image.data(), Image.size()) ||
+      ::fsync(TFd) != 0) {
+    ::close(TFd);
+    ::unlink(Tmp.c_str());
+    return Fail("cannot write");
   }
-  ParsedImage NewImg;
-  NewImg.IndexOff = LogEnd;
-  NewImg.Generation = NewGen;
-  NewImg.Offsets = NewOffsets;
-  adoptImage(static_cast<const char *>(Base), size_t(RSt.st_size), NewImg);
-  MapDev = RSt.st_dev;
-  MapIno = RSt.st_ino;
-  PendingLog.clear();
-  Invalidated = false;
-  return true;
+  if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
+    ::close(TFd);
+    ::unlink(Tmp.c_str());
+    return Fail("cannot replace");
+  }
+  ::close(Fd); // Releases the flock held on the now-unlinked inode.
+  NumCompactions += Compact;
+  // Entries evicted from disk stay usable in memory (node stability) but
+  // will re-append on a future save only if re-inserted; PendingLog is
+  // spent either way.
+  bool OK = adoptWritten(TFd, std::move(Kept));
+  ::close(TFd);
+  return OK;
 }

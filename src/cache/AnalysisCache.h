@@ -40,8 +40,12 @@
 ///   [index_off u64][count u64][generation u64][magic2 u64]  tail
 ///
 /// Appending rewrites only the footer region (new entries land where the
-/// old index began); entry bytes, once written, are never touched -- the
-/// invariant that makes concurrently-mapped readers safe.  The
+/// old index began); entry bytes, once written, are never touched, and the
+/// file never shrinks.  Every whole-image write (the first save, the
+/// rewrite of a stale or damaged file, a compaction) goes to a temp file
+/// that is fsynced and renamed into place, so no save rewrites or
+/// truncates a file another process may have mapped -- the invariant that
+/// makes concurrently-mapped readers safe.  The
 /// *generation* counter in the tail advances on every successful save, so
 /// a process whose in-memory view was loaded at generation G can tell that
 /// the file moved under it (another appender, or a compaction swap) and
@@ -49,7 +53,7 @@
 /// is a local artifact, not an interchange format.  Any structural damage
 /// (bad magic, stale salt or format, truncation, out-of-range offsets)
 /// invalidates the whole file: the cache reopens empty and the next save
-/// rewrites it, trading re-analysis for never serving a corrupt entry.
+/// replaces it, trading re-analysis for never serving a corrupt entry.
 ///
 /// Cross-process safety (DESIGN.md §13).  Many processes may share one
 /// cache file:
@@ -68,11 +72,14 @@
 ///    processes racing the lock both land their entries.
 ///  - *Compaction bounds the file.*  With a byte cap configured
 ///    (setMaxBytes / `--cache-max-bytes`), a save whose result would
-///    exceed the cap rewrites the file to a temp path keeping the most
+///    exceed the cap writes the whole-image temp file with only the most
 ///    recently used entries that fit (LRU-ish: recency is tracked per
-///    process at lookup/insert), fsyncs, and atomically renames it into
-///    place with the generation advanced.  Readers detect the swap via
-///    refreshIfChanged() (inode/size/generation comparison).
+///    process at lookup/insert), with the generation advanced.  Readers
+///    detect the swap via refreshIfChanged() (inode/size/generation
+///    comparison).
+///  - *One mapper.*  open(), refreshIfChanged() and every save map the file
+///    through mapFile(); a save adopts the index it built, without
+///    re-parsing.
 ///
 /// Thread-safety within a process: many concurrent readers, one writer.
 /// lookup() takes a shared lock (upgrading briefly to materialize a disk
@@ -175,8 +182,8 @@ public:
   /// lookups are safe; insertion *order* is whatever the callers make it.
   void insert(uint64_t Digest, CacheEntry E);
 
-  /// Appends pending entries and rewrites the index footer (or writes the
-  /// whole file fresh after invalidation) under an advisory flock,
+  /// Appends pending entries and rewrites the index footer (or writes a
+  /// whole new image after invalidation) under an advisory flock,
   /// merging with any progress other processes made since open(), and
   /// compacting when the result would exceed the byte cap.  Returns false
   /// with \p Error set when the path cannot be written -- callers must
@@ -209,7 +216,8 @@ public:
     std::shared_lock<std::shared_mutex> Lock(M);
     return Generation;
   }
-  /// Compactions this process performed over the file's lifetime.
+  /// Compactions the byte cap forced in this process over the file's
+  /// lifetime.
   uint64_t compactions() const {
     std::shared_lock<std::shared_mutex> Lock(M);
     return NumCompactions;
@@ -217,8 +225,17 @@ public:
 
 private:
   struct ParsedImage;
+  struct Mapping;
+  enum class MapStatus { Mapped, Missing, Unreadable, Unmappable, Damaged };
   static bool parseImage(const char *Data, size_t Size, ParsedImage &Img);
-  bool adoptImage(const char *Data, size_t Size, const ParsedImage &Img);
+  /// The one mapper: maps the regular file open on \p Fd read-only with
+  /// its index, parsed from the bytes or, for an image this process just
+  /// wrote, \p Known.  Damaged: too short, or failing to parse.
+  static MapStatus mapFile(int Fd, const ParsedImage *Known, Mapping &Out);
+  /// mapFile on \p P opened read-only (Missing when it does not exist).
+  static MapStatus mapPath(const std::string &P, Mapping &Out);
+  /// Makes \p Map the current view; caller holds the exclusive lock.
+  void adoptLocked(Mapping &Map);
   void discardDiskLocked();
   void unmapLocked();
   uint64_t accessOf(uint64_t Digest) const;
@@ -237,7 +254,8 @@ private:
   /// bytes are deterministic for any worker count).
   std::vector<std::pair<uint64_t, std::string>> PendingLog;
   /// Bytes of valid header + entry log on disk (new entries append here,
-  /// overwriting the old footer); 0 = no valid file, save() writes fresh.
+  /// overwriting the old footer); 0 = no valid file, save() writes a whole
+  /// new image.
   uint64_t DiskLogEnd = 0;
   uint64_t Generation = 0;   ///< tail generation of our loaded view
   uint64_t MaxBytes = 0;     ///< 0 = unbounded

@@ -320,9 +320,28 @@ DependenceResult DependenceAnalyzer::testDimension(
     return R;
   };
 
-  // Linear x linear: the classical tests.
-  if (SI.Linear && DI.Linear)
-    return testLinearPair(*SI.Linear, *DI.Linear, Common, NonCommon);
+  // Linear x linear: the classical tests.  A subscript linearized through
+  // a wrap-around holds only after its settle order; the extended classes
+  // flag that prefix, and without them such a pair stays assumed.
+  const unsigned Order = std::max(SI.SettleOrder, DI.SettleOrder);
+  if (SI.Linear && DI.Linear && (Order == 0 || Opts.UseExtendedClasses)) {
+    DependenceResult R = testLinearPair(*SI.Linear, *DI.Linear, Common,
+                                        NonCommon);
+    if (Order == 0)
+      return R;
+    R.ValidAfterIterations = Order;
+    if (R.O == DependenceResult::Outcome::Independent) {
+      // Independence only proven for the settled iterations; the first
+      // `Order` iterations still touch the wrapped value.
+      R.O = DependenceResult::Outcome::Maybe;
+      R.Note += " (wrap-around: first " + std::to_string(Order) +
+                " iteration(s) unanalyzed)";
+    } else {
+      R.Note += " [holds after " + std::to_string(Order) +
+                " iteration(s); peel to exploit]";
+    }
+    return R;
+  }
 
   if (!Opts.UseExtendedClasses)
     return maybeAll("non-linear subscripts (extended classes disabled)");
@@ -330,50 +349,8 @@ DependenceResult DependenceAnalyzer::testDimension(
   const Classification &SC = SI.Class;
   const Classification &DC = DI.Class;
 
-  // Wrap-around: test through the settled class and flag the prefix
-  // (supported when the settled class is again an affine IV).
-  if (SC.isWrapAround() || DC.isWrapAround()) {
-    auto settle = [&](const Classification &C, const ir::Value *Sub,
-                      const Reference &Ref,
-                      unsigned &Order) -> std::optional<LinearSubscript> {
-      SubscriptInfo Info = classifySubscript(IA, Sub, Ref.InnermostLoop);
-      if (Info.Linear) {
-        return Info.Linear;
-      }
-      if (!C.isWrapAround() || !C.Inner || !C.Inner->isAffineForm())
-        return std::nullopt;
-      Order = std::max(Order, C.WrapOrder);
-      // The settled value of the wrap-around phi lags its carried value by
-      // one iteration: phi(h) = inner(h-1) for h >= Order.
-      std::optional<ivclass::ClosedForm> Settled = C.Inner->Form.shifted(-1);
-      if (!Settled || !Settled->isLinear())
-        return std::nullopt;
-      LinearSubscript Lin;
-      Lin.Const = Settled->coeff(0);
-      if (!Settled->coeff(1).isZero())
-        Lin.Coeff[Ref.InnermostLoop] = Settled->coeff(1);
-      return Lin;
-    };
-    unsigned Order = 0;
-    std::optional<LinearSubscript> SL = settle(SC, SrcSub, Src, Order);
-    std::optional<LinearSubscript> DL = settle(DC, DstSub, Dst, Order);
-    if (SL && DL) {
-      DependenceResult R = testLinearPair(*SL, *DL, Common, NonCommon);
-      R.ValidAfterIterations = Order;
-      if (R.O == DependenceResult::Outcome::Independent && Order > 0) {
-        // Independence only proven for the settled iterations; the first
-        // `Order` iterations still touch the wrapped value.
-        R.O = DependenceResult::Outcome::Maybe;
-        R.Note += " (wrap-around: first " + std::to_string(Order) +
-                  " iteration(s) unanalyzed)";
-      } else if (Order > 0) {
-        R.Note += " [holds after " + std::to_string(Order) +
-                  " iteration(s); peel to exploit]";
-      }
-      return R;
-    }
+  if (SC.isWrapAround() || DC.isWrapAround())
     return maybeAll("wrap-around with unsupported inner class");
-  }
 
   // Periodic x periodic: same family with distinct ring values means the
   // dependence distance is fixed modulo the period.

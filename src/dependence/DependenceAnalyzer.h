@@ -11,9 +11,10 @@
 /// For every pair of references to the same array with at least one write,
 /// subscripts are classified (section 6) and dispatched:
 ///  - linear induction expressions go to the classical ZIV/SIV/MIV tests;
-///  - wrap-around subscripts are tested through their underlying class, and
-///    the dependence is flagged as "holds after k iterations" so the client
-///    can decide whether peeling pays off;
+///  - wrap-around subscripts are linearized through the class they settle
+///    into (classifySubscript), tested the same way, and the dependence is
+///    flagged as "holds after k iterations", k the settle order, so the
+///    client can decide whether peeling pays off;
 ///  - same-family periodic subscripts translate `=` solutions to a modular
 ///    distance constraint (a `!=` direction when the phases differ -- the
 ///    paper's relaxation-code result);

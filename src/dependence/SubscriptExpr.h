@@ -16,6 +16,12 @@
 /// counter of loop L -- this is the representation that makes the loop
 /// normalization of section 6.1 unnecessary.
 ///
+/// A wrap-around, whether the subscript's own class or a symbol's, is
+/// linearized through the class it settles into
+/// (Classification::settled): its step goes on the wrap-around's own loop
+/// and its initial value is expanded like any linear subscript.  The view
+/// then holds only after the settle order, which SubscriptInfo records.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEYONDIV_DEPENDENCE_SUBSCRIPTEXPR_H
@@ -49,12 +55,16 @@ struct SubscriptInfo {
   /// The linear expansion across the whole nest, when the subscript is an
   /// affine function of the enclosing loop counters.
   std::optional<LinearSubscript> Linear;
+
+  /// Iterations after which Linear holds: the largest settle order of a
+  /// wrap-around it went through (0 when none did).
+  unsigned SettleOrder = 0;
 };
 
 /// Expands \p Sub (an operand of an indexed access in \p AtLoop, which may
 /// be null for loop-free code) into SubscriptInfo.  Linear classifications
 /// whose symbolic initial values are induction variables of enclosing loops
-/// are expanded recursively (the nested-tuple walk).
+/// (or settle into them) are expanded recursively (the nested-tuple walk).
 SubscriptInfo classifySubscript(ivclass::InductionAnalysis &IA,
                                 const ir::Value *Sub,
                                 const analysis::Loop *AtLoop);

@@ -54,24 +54,16 @@ void ThreadPool::submit(std::function<void()> Task) {
 }
 
 bool ThreadPool::popTask(unsigned Self, std::function<void()> &Task) {
-  // Own queue first, newest task (LIFO keeps the submitter's data warm) ...
-  {
-    WorkerQueue &Mine = *Queues[Self];
-    std::lock_guard<std::mutex> L(Mine.M);
-    if (!Mine.Q.empty()) {
-      Task = std::move(Mine.Q.back());
-      Mine.Q.pop_back();
-      return true;
-    }
-  }
-  // ... then steal the oldest task from anyone else (FIFO spreads the
-  // largest remaining chunks of work).
-  for (unsigned Off = 1; Off < Queues.size(); ++Off) {
-    WorkerQueue &Other = *Queues[(Self + Off) % Queues.size()];
-    std::lock_guard<std::mutex> L(Other.M);
-    if (!Other.Q.empty()) {
-      Task = std::move(Other.Q.front());
-      Other.Q.pop_front();
+  // Own queue first, then steal from the others, always the oldest task:
+  // each queue runs in submission order (a daemon answers queued requests
+  // in arrival order), and a steal takes the largest remaining chunk of
+  // work.
+  for (unsigned Off = 0; Off < Queues.size(); ++Off) {
+    WorkerQueue &Q = *Queues[(Self + Off) % Queues.size()];
+    std::lock_guard<std::mutex> L(Q.M);
+    if (!Q.Q.empty()) {
+      Task = std::move(Q.Q.front());
+      Q.Q.pop_front();
       return true;
     }
   }

@@ -6,11 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the batch-analysis driver.  Each
-/// worker owns a deque; submissions are distributed round-robin, workers pop
-/// their own queue LIFO (cache-warm) and steal FIFO from the others when it
-/// runs dry.  Tasks are independent function/loop-nest analyses, so there is
-/// no dependency tracking -- submit() then wait().
+/// A small work-stealing thread pool for the batch-analysis driver, the
+/// fuzz oracle and the daemon.  Each worker owns a deque; submissions are
+/// distributed round-robin, and workers run their own queue FIFO and steal
+/// FIFO from the others when it runs dry.  FIFO keeps a daemon's queued
+/// requests in arrival order, so the oldest is never the one left to miss
+/// its deadline.  The per-worker deques stay because one shared queue
+/// measured slower on batch throughput (ROADMAP item 7).  Tasks are
+/// independent function/loop-nest analyses, so there is no dependency
+/// tracking -- submit() then wait().
 ///
 /// Exceptions thrown by tasks are captured; the first one is rethrown from
 /// wait(), after all tasks have drained (a failed unit never aborts its

@@ -9,6 +9,7 @@
 #include "ssa/SSABuilder.h"
 #include "ssa/SSAVerifier.h"
 #include "support/Lcg.h"
+#include <span>
 #include <sstream>
 
 using namespace biv;
@@ -52,7 +53,7 @@ void noteOverflowSkip() {
 }
 
 /// Renders the first elements of an observed sequence.
-std::string renderSeq(const std::vector<int64_t> &Seq, size_t Limit = 12) {
+std::string renderSeq(std::span<const int64_t> Seq, size_t Limit = 12) {
   std::ostringstream OS;
   OS << "[";
   for (size_t K = 0; K < Seq.size() && K < Limit; ++K)
@@ -133,7 +134,7 @@ private:
                    const SymbolEnv &Env, int64_t Skew = 0);
   void checkMonotonic(const ivclass::Classification &C,
                       const std::string &LoopName, const std::string &Name,
-                      const std::vector<int64_t> &Seq);
+                      std::span<const int64_t> Seq);
   void checkMemberClaims(ivclass::InductionAnalysis &IA,
                          const analysis::DominatorTree &DT,
                          const analysis::Loop *L,
@@ -269,13 +270,13 @@ void OracleRun::checkLoopClaims(ivclass::InductionAnalysis &IA,
       continue;
     const std::string Name(Phi->name());
     CheckCounts &N = Result.Checks;
-    if (C.isMonotonic()) {
-      checkMonotonic(C, L->name(), Name, Seq);
-    } else if (C.isWrapAround() && C.Inner && C.Inner->isMonotonic()) {
-      // Only the tail past the prefix is claimed to move one way.
-      if (Seq.size() >= C.WrapOrder + 2)
-        checkMonotonic(*C.Inner, L->name(), Name,
-                       {Seq.begin() + C.WrapOrder, Seq.end()});
+    unsigned Order = 0;
+    const ivclass::Classification &Settled = C.settled(Order);
+    if (Settled.isMonotonic()) {
+      // Only the tail past a wrap-around prefix is claimed to move one way.
+      if (Seq.size() >= Order + 2)
+        checkMonotonic(Settled, L->name(), Name,
+                       std::span<const int64_t>(Seq).subspan(Order));
     } else if (C.hasClosedForm()) {
       // The c-finite extension (polynomial coefficients on exponential
       // terms) counts as its own category so campaigns can assert it keeps
@@ -372,7 +373,7 @@ void OracleRun::checkMemberClaims(ivclass::InductionAnalysis &IA,
 void OracleRun::checkMonotonic(const ivclass::Classification &C,
                                const std::string &LoopName,
                                const std::string &Name,
-                               const std::vector<int64_t> &Seq) {
+                               std::span<const int64_t> Seq) {
   const char *DirName =
       C.Dir == ivclass::MonotoneDir::Increasing ? "increasing" : "decreasing";
   for (size_t K = 1; K < Seq.size(); ++K) {

@@ -145,26 +145,30 @@ bool Classification::isFlipFlop() const {
   return false;
 }
 
-std::optional<Affine> Classification::valueAt(int64_t H) const {
+const Classification &Classification::settled(unsigned &Order) const {
   const Classification *C = this;
-  // phi(h) = inner(h - order) once h clears the prefix.
-  for (; C->isWrapAround(); C = C->Inner.get()) {
-    if (!C->Inner || H < int64_t(C->WrapOrder))
-      return std::nullopt;
-    H -= int64_t(C->WrapOrder);
-  }
+  for (; C->isWrapAround() && C->Inner; C = C->Inner.get())
+    Order += C->WrapOrder;
+  return *C;
+}
+
+std::optional<Affine> Classification::valueAt(int64_t H) const {
+  unsigned Order = 0;
+  const Classification &C = settled(Order);
+  H -= int64_t(Order);
   if (H < 0)
     return std::nullopt;
-  if (C->hasClosedForm())
-    return C->Form.evaluateAt(H);
-  if (C->Period < 2)
+  if (C.hasClosedForm())
+    return C.Form.evaluateAt(H);
+  // A wrap-around left unsettled (no inner class) has no Period either.
+  if (C.Period < 2)
     return std::nullopt;
-  if (C->isPeriodic() && C->RingInits.size() == C->Period)
-    return C->RingInits[(C->Phase + uint64_t(H)) % C->Period] * C->PScale +
-           C->POffset;
-  if (C->isPhasePeriodic() && C->PhaseForms.size() == C->Period)
-    return C->PhaseForms[uint64_t(H) % C->Period].evaluateAt(
-        H / int64_t(C->Period));
+  if (C.isPeriodic() && C.RingInits.size() == C.Period)
+    return C.RingInits[(C.Phase + uint64_t(H)) % C.Period] * C.PScale +
+           C.POffset;
+  if (C.isPhasePeriodic() && C.PhaseForms.size() == C.Period)
+    return C.PhaseForms[uint64_t(H) % C.Period].evaluateAt(
+        H / int64_t(C.Period));
   return std::nullopt;
 }
 

@@ -172,11 +172,18 @@ public:
   /// (the paper's `j = c - j`) also satisfy this.
   bool isFlipFlop() const;
 
+  /// The class this value follows once every wrap-around prefix has passed
+  /// (Figure 4): from iteration h = Order on, the value is the returned
+  /// class's value at h - Order.  Adds the prefix length to \p Order.  A
+  /// class that is not a wrap-around settles into itself, and so does a
+  /// wrap-around without an inner class.
+  const Classification &settled(unsigned &Order) const;
+
   /// The value on iteration \p H >= 0: a closed form at h, a periodic
   /// member's ring slot through its PScale/POffset image, a phase-periodic
-  /// tuple's phase form at the cycle index, and a wrap-around's inner value
-  /// at h - order.  nullopt inside a wrap-around prefix, for monotonic and
-  /// unknown values, and for a ring or phase tuple whose size is not Period.
+  /// tuple's phase form at the cycle index, and a wrap-around's settled
+  /// value.  nullopt inside a wrap-around prefix, for monotonic and unknown
+  /// values, and for a ring or phase tuple whose size is not Period.
   /// Throws RationalOverflow like ClosedForm::evaluateAt.
   std::optional<Affine> valueAt(int64_t H) const;
 

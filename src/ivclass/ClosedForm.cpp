@@ -271,6 +271,8 @@ std::optional<ClosedForm> ClosedForm::shifted(int64_t Delta) const {
 
 std::optional<ClosedForm> ClosedForm::atLinear(int64_t K, int64_t P) const {
   assert(K >= 1 && P >= 0 && "stretch needs a forward affine reindexing");
+  if (K == 1 && P == 0)
+    return *this; // The identity, asked for by every closed-form trip count.
   // Substitutes (K*c + P)^k via binomial expansion into Dst (index = power
   // of c), scaling every contribution by Scale.
   auto stretchPoly = [&](const std::vector<Affine> &Src,

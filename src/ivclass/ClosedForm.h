@@ -138,6 +138,7 @@ public:
   /// of a period-K branch cycle at phase P.  Exponential bases become b^K;
   /// nullopt when a stretched base leaves int64.  May throw
   /// RationalOverflow (coefficient arithmetic), like the other operators.
+  /// K = 1, P = 0 returns the form itself.
   std::optional<ClosedForm> atLinear(int64_t K, int64_t P) const;
 
   /// Evaluates at a *symbolic* iteration count: only possible for linear

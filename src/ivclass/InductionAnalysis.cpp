@@ -1085,48 +1085,6 @@ std::string InductionAnalysis::strNested(const Classification &C,
 // Exit values (section 5.3)
 //===----------------------------------------------------------------------===//
 
-ir::Value *InductionAnalysis::materializeAffine(const Affine &V,
-                                                ir::BasicBlock *BB,
-                                                const std::string &Name) {
-  if (!V.constantPart().isInteger())
-    return nullptr;
-  for (const auto &[Sym, Coeff] : V.terms())
-    if (!Coeff.isInteger())
-      return nullptr;
-
-  // Insert at the top of the block (after its phis) so existing uses of the
-  // replaced value later in the same block stay dominated.
-  size_t InsertPos = BB->phis().size();
-  // newInstr hands out a fresh seq, so the enclosing loops' dense numbering
-  // stays valid for the materialized instructions.
-  auto emit = [&](ir::Instruction *I) {
-    BB->insertAt(InsertPos++, I);
-    for (unsigned Idx = 0; Idx < I->numOperands(); ++Idx)
-      indexUse(I, Idx);
-    return I;
-  };
-  ir::Value *Acc = nullptr;
-  // Emission order must be stable across runs and worker threads (terms()
-  // iterates in pointer order); see ir/AffineOrder.h.
-  for (const auto &[Sym, Coeff] : ir::orderedTerms(V)) {
-    auto *SymV = const_cast<ir::Value *>(Sym);
-    ir::Value *Term = SymV;
-    if (!Coeff.isOne())
-      Term = emit(
-          F.newInstr(ir::Opcode::Mul, {F.constant(Coeff.getInteger()), SymV}));
-    Acc = Acc ? emit(F.newInstr(ir::Opcode::Add, {Acc, Term})) : Term;
-  }
-  int64_t C0 = V.constantPart().getInteger();
-  if (!Acc)
-    return F.constant(C0);
-  if (C0 != 0)
-    Acc = emit(F.newInstr(ir::Opcode::Add, {Acc, F.constant(C0)}));
-  if (auto *AI = ir::dyn_cast<ir::Instruction>(Acc))
-    if (AI->name().empty())
-      AI->setName(F.uniqueName(Name));
-  return Acc;
-}
-
 void InductionAnalysis::indexUse(ir::Instruction *User, unsigned Index) {
   const auto *Def = ir::dyn_cast<ir::Instruction>(User->operand(Index));
   if (!Def)
@@ -1236,10 +1194,21 @@ void InductionAnalysis::materializeExitValues(const analysis::Loop *L) {
     if (Uses.empty())
       continue;
 
-    ir::Value *Mat =
-        materializeAffine(*EV, ExitBB, std::string(V->name()) + ".exit");
+    // Insert at the top of the exit block (after its phis) so existing
+    // uses later in the block stay dominated.  newInstr hands out a fresh
+    // seq, so the enclosing loops' dense numbering stays valid for the new
+    // instructions; their operands join the user index.
+    size_t Pos = ExitBB->phis().size();
+    const size_t First = Pos;
+    ir::Value *Mat = ir::materializeAffine(F, *EV, ExitBB, Pos,
+                                           std::string(V->name()) + ".exit");
     if (!Mat)
       continue;
+    for (size_t At = First; At < Pos; ++At) {
+      ir::Instruction *New = ExitBB->begin()[At];
+      for (unsigned Idx = 0; Idx < New->numOperands(); ++Idx)
+        indexUse(New, Idx);
+    }
     for (const Use &U : Uses) {
       U.User->setOperand(U.Index, Mat);
       indexUse(U.User, U.Index);

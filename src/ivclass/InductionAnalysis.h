@@ -194,10 +194,6 @@ public:
 private:
   void processLoop(const analysis::Loop *L);
   void materializeExitValues(const analysis::Loop *L);
-  /// Builds IR computing \p V (integer affine) at the end of \p BB; returns
-  /// null when a coefficient is not an integer.
-  ir::Value *materializeAffine(const Affine &V, ir::BasicBlock *BB,
-                               const std::string &Name);
   /// Adds operand \p Index of \p User to the use chain of the instruction
   /// it reads (nothing for other values).
   void indexUse(ir::Instruction *User, unsigned Index);

@@ -24,6 +24,38 @@ std::string TripCountInfo::str(const SymbolNamer &Namer) const {
 
 namespace {
 
+/// An equality-controlled exit (K = 1): the loop stays while E(h) == 0
+/// (\p StayEqual) or while E(h) != 0, for the margin E(h) = I0 + S*h.
+TripCountInfo equalityCount(TripCountInfo Info, bool StayEqual,
+                            const Rational &I0, const Rational &S) {
+  if (StayEqual) {
+    // Exits at the first h with E(h) != 0.
+    if (!I0.isZero())
+      Info.K = TripCountInfo::Kind::Zero;
+    else if (S.isZero())
+      Info.K = TripCountInfo::Kind::Infinite;
+    else {
+      Info.K = TripCountInfo::Kind::Finite;
+      Info.Count = Affine(1); // E(0)==0, E(1)!=0.
+    }
+    return Info;
+  }
+  // Stay while different: exits at the first h with E(h) == 0.
+  if (S.isZero()) {
+    Info.K = I0.isZero() ? TripCountInfo::Kind::Zero
+                         : TripCountInfo::Kind::Infinite;
+    return Info;
+  }
+  Rational H = -I0 / S;
+  if (H.isInteger() && !H.isNegative()) {
+    Info.K = TripCountInfo::Kind::Finite;
+    Info.Count = Affine(H.getInteger());
+  } else {
+    Info.K = TripCountInfo::Kind::Infinite;
+  }
+  return Info;
+}
+
 /// Trip count of a single exit: the first h >= 0 at which the exit fires.
 /// May throw RationalOverflow when the margin arithmetic leaves int64 (e.g.
 /// bounds near INT64_MIN/MAX); the analyzeExit wrapper below degrades that
@@ -45,29 +77,20 @@ TripCountInfo analyzeExitImpl(const analysis::Loop &L,
   if (TrueStays == FalseStays)
     return Info; // Not really an exit (or a degenerate branch).
 
+  // Each operand is a closed form, or a phase-periodic tuple (the
+  // summarizer's per-phase forms) that it settles into after W iterations
+  // of wrap-around (reset variables and rotations).  The first W
+  // iterations carry no claim, so a count through W > 0 degrades from
+  // exact to an upper bound below.
   Classification LC = Classify(Cmp->operand(0));
   Classification RC = Classify(Cmp->operand(1));
-  // Resolve wrap-around chains over phase-periodic cores (the shape the
-  // summarizer commits for reset variables and rotations): past the
-  // accumulated order W the value follows the inner per-phase forms at
-  // h - W.  The first W iterations carry no claim, so a count through a
-  // W > 0 resolution degrades from exact to an upper bound below.
   unsigned LOrd = 0, ROrd = 0;
-  const Classification *LR = &LC, *RR = &RC;
-  while (LR->isWrapAround() && LR->Inner && LR->Inner->isPhasePeriodic()) {
-    LOrd += LR->WrapOrder;
-    LR = LR->Inner.get();
-  }
-  while (RR->isWrapAround() && RR->Inner && RR->Inner->isPhasePeriodic()) {
-    ROrd += RR->WrapOrder;
-    RR = RR->Inner.get();
-  }
-  const bool LPhase = LR->isPhasePeriodic();
-  const bool RPhase = RR->isPhasePeriodic();
+  const Classification &LS = LC.settled(LOrd);
+  const Classification &RS = RC.settled(ROrd);
+  const bool LPhase = LS.isPhasePeriodic();
+  const bool RPhase = RS.isPhasePeriodic();
   if ((!LC.isAffineForm() && !LPhase) || (!RC.isAffineForm() && !RPhase))
     return Info;
-  ClosedForm A = LPhase ? ClosedForm() : LC.Form;
-  ClosedForm B = RPhase ? ClosedForm() : RC.Form;
 
   // Normalize the *stay* condition to a < b (integer arithmetic: a <= b is
   // a < b+1).  The table in section 5.2, folded with the stay/exit sense.
@@ -96,202 +119,124 @@ TripCountInfo analyzeExitImpl(const analysis::Loop &L,
       return Info;
     }
   }
+  const bool Equality = Op == ir::Opcode::CmpEQ || Op == ir::Opcode::CmpNE;
 
   Info.ExitBranch = Term;
   Info.ExitingBlock = Exiting;
 
-  // A phase-periodic operand (the summarizer's per-phase closed forms):
-  // rewrite both sides as forms in the cycle index c at h = W + K*c + p and
-  // take the minimum first-failing h over the phases.  Ordering compares
-  // only, fully numeric margins only.  W == 0 claims the exact count; a
-  // wrapped core (W > 0) claims an upper bound -- the warmup iterations
-  // are outside the proved domain, so the exit may fire earlier but never
-  // later than the bound.
+  // Both sides become forms in the cycle index c at h = W + K*c + p, one
+  // pair per phase p.  A phase tuple sets K to its period (ordering
+  // compares only, tuples of this loop that agree on K and W); two closed
+  // forms are K = 1, W = 0, where atLinear(1, 0) is the identity.
+  unsigned K = 1, W = 0;
   if (LPhase || RPhase) {
-    if (Op == ir::Opcode::CmpEQ || Op == ir::Opcode::CmpNE)
+    K = LPhase ? LS.Period : RS.Period;
+    W = LPhase ? LOrd : ROrd;
+    if (Equality || K < 2 ||
+        (LPhase && RPhase && (LS.Period != RS.Period || LOrd != ROrd)) ||
+        (LPhase && LS.L != &L) || (RPhase && RS.L != &L))
       return Info;
-    const unsigned K = LPhase ? LR->Period : RR->Period;
-    const unsigned W = LPhase ? LOrd : ROrd;
-    if (K < 2 || (LPhase && RPhase && (LR->Period != RR->Period || LOrd != ROrd)) ||
-        (LPhase && LR->L != &L) || (RPhase && RR->L != &L))
-      return Info;
-    ClosedForm One = ClosedForm::constant(Affine(1));
-    std::optional<int64_t> Best; // first failing h - W across phases
-    struct PhaseMargin {
-      ClosedForm A, B; // per-phase operand forms (functions of c)
-    };
-    std::vector<PhaseMargin> Ops(K);
-    for (unsigned P = 0; P < K; ++P) {
-      std::optional<ClosedForm> AP =
-          LPhase ? std::optional<ClosedForm>(LR->PhaseForms[P])
-                 : LC.Form.atLinear(int64_t(K), int64_t(W + P));
-      std::optional<ClosedForm> BP =
-          RPhase ? std::optional<ClosedForm>(RR->PhaseForms[P])
-                 : RC.Form.atLinear(int64_t(K), int64_t(W + P));
-      if (!AP || !BP)
-        return Info;
-      Ops[P] = {*AP, *BP};
-      ClosedForm E;
-      switch (Op) {
-      case ir::Opcode::CmpLT:
-        E = *BP - *AP;
-        break;
-      case ir::Opcode::CmpLE:
-        // Subtract before the +1, same as the affine path below.
-        E = *BP - *AP + One;
-        break;
-      case ir::Opcode::CmpGT:
-        E = *AP - *BP;
-        break;
-      case ir::Opcode::CmpGE:
-        E = *AP - *BP + One;
-        break;
-      default:
-        return Info;
-      }
-      if (!E.isLinear())
-        return Info;
-      std::optional<Rational> IC = E.coeff(0).getConstant();
-      std::optional<Rational> S = E.coeff(1).getConstant();
-      if (!IC || !S)
-        return Info;
-      // Stay at h = W + K*c + p iff E(c) > 0; c_p = first failing cycle.
-      std::optional<int64_t> CP;
-      if (!IC->isPositive())
-        CP = 0;
-      else if (S->isNegative())
-        CP = (*IC / -*S).ceil();
-      if (CP) {
-        int64_t H = int64_t(K) * *CP + int64_t(P);
-        if (!Best || H < *Best)
-          Best = H;
-      }
-    }
-    if (!Best)
-      return Info; // no phase's margin ever fails: possibly infinite
-    // Wrap guard: the count reasons over Z but execution wraps int64.
-    // Bound every operand's trajectory by evaluating each phase form at
-    // the extreme cycle indices reached (|base| >= 1 for every geometric
-    // term, so magnitudes peak at the endpoints); overflow throws and the
-    // wrapper degrades to Unknown.
-    const int64_t CEnd = *Best / int64_t(K) + 1;
-    for (unsigned P = 0; P < K; ++P) {
-      (void)Ops[P].A.evaluateAt(0);
-      (void)Ops[P].B.evaluateAt(0);
-      (void)Ops[P].A.evaluateAt(CEnd);
-      (void)Ops[P].B.evaluateAt(CEnd);
-    }
-    if (W > 0) {
-      // The wrapped warmup is unverified: the loop exits no later than
-      // W + Best, possibly earlier.
-      Info.K = TripCountInfo::Kind::Unknown;
-      Info.MaxCount = Affine(int64_t(W) + *Best);
-    } else if (*Best == 0) {
-      Info.K = TripCountInfo::Kind::Zero;
-    } else {
-      Info.K = TripCountInfo::Kind::Finite;
-      Info.Count = Affine(*Best);
-    }
-    return Info;
   }
-
-  // Equality-controlled loops: stay while a == b or a != b.
-  if (Op == ir::Opcode::CmpEQ || Op == ir::Opcode::CmpNE) {
-    ClosedForm E = B - A; // zero iff equal
+  const ClosedForm One = ClosedForm::constant(Affine(1));
+  std::vector<std::pair<ClosedForm, ClosedForm>> Ops; // per phase, in c
+  std::optional<Rational> Best; // first failing h - W across phases
+  for (unsigned P = 0; P < K; ++P) {
+    std::optional<ClosedForm> AP =
+        LPhase ? std::optional<ClosedForm>(LS.PhaseForms[P])
+               : LC.Form.atLinear(int64_t(K), int64_t(W + P));
+    std::optional<ClosedForm> BP =
+        RPhase ? std::optional<ClosedForm>(RS.PhaseForms[P])
+               : RC.Form.atLinear(int64_t(K), int64_t(W + P));
+    if (!AP || !BP)
+      return Info;
+    // The margin E: "stay iff E(c) > 0" for orderings, and b - a (zero iff
+    // equal) for EQ/NE.
+    ClosedForm E;
+    switch (Op) {
+    case ir::Opcode::CmpEQ:
+    case ir::Opcode::CmpNE:
+    case ir::Opcode::CmpLT: // a < b
+      E = *BP - *AP;
+      break;
+    case ir::Opcode::CmpLE: // a <= b  ==  a < b+1
+      // Subtract before adding the 1: b+1 overflows for b == INT64_MAX (the
+      // classic `downto`/`to` boundary loops) even when the margin is small.
+      E = *BP - *AP + One;
+      break;
+    case ir::Opcode::CmpGT: // a > b  ==  b < a
+      E = *AP - *BP;
+      break;
+    case ir::Opcode::CmpGE: // a >= b  ==  b < a+1
+      E = *AP - *BP + One;
+      break;
+    default:
+      return Info;
+    }
     if (!E.isLinear())
       return Info;
-    std::optional<Rational> I0 = E.coeff(0).getConstant();
+    std::optional<Rational> IC = E.coeff(0).getConstant();
     std::optional<Rational> S = E.coeff(1).getConstant();
-    if (!I0 || !S)
-      return Info;
-    if (Op == ir::Opcode::CmpEQ) {
-      // Stay while equal: exits at the first h with E(h) != 0.
-      if (!I0->isZero())
-        Info.K = TripCountInfo::Kind::Zero;
-      else if (S->isZero())
-        Info.K = TripCountInfo::Kind::Infinite;
-      else {
+    if (Equality)
+      return IC && S ? equalityCount(Info, Op == ir::Opcode::CmpEQ, *IC, *S)
+                     : Info;
+    if (!IC || (!S && K > 1)) {
+      // Symbolic initial margin: only the unit-step case divides exactly
+      // (ceil(i/1) == i); this covers every `for v = lo to hi` loop.
+      if (K == 1 && !IC && S && *S == Rational(-1)) {
         Info.K = TripCountInfo::Kind::Finite;
-        Info.Count = Affine(1); // E(0)==0, E(1)!=0.
+        Info.Count = E.coeff(0);
+        Info.Guarded = true;
       }
       return Info;
     }
-    // Stay while different: exits at the first h with E(h) == 0.
-    if (S->isZero()) {
-      Info.K = I0->isZero() ? TripCountInfo::Kind::Zero
-                            : TripCountInfo::Kind::Infinite;
-      return Info;
-    }
-    Rational H = -*I0 / *S;
-    if (H.isInteger() && !H.isNegative()) {
-      Info.K = TripCountInfo::Kind::Finite;
-      Info.Count = Affine(H.getInteger());
-    } else {
-      Info.K = TripCountInfo::Kind::Infinite;
-    }
-    return Info;
-  }
-
-  // Orderings: build the strict margin E with "stay iff E(h) > 0".
-  ClosedForm One = ClosedForm::constant(Affine(1));
-  ClosedForm E;
-  switch (Op) {
-  case ir::Opcode::CmpLT: // a < b
-    E = B - A;
-    break;
-  case ir::Opcode::CmpLE: // a <= b  ==  a < b+1
-    // Subtract before adding the 1: b+1 overflows for b == INT64_MAX (the
-    // classic `downto`/`to` boundary loops) even when the margin is small.
-    E = B - A + One;
-    break;
-  case ir::Opcode::CmpGT: // a > b  ==  b < a
-    E = A - B;
-    break;
-  case ir::Opcode::CmpGE: // a >= b  ==  b < a+1
-    E = A - B + One;
-    break;
-  default:
-    return Info;
-  }
-  if (!E.isLinear())
-    return Info;
-  Affine I = E.coeff(0);
-  std::optional<Rational> S = E.coeff(1).getConstant();
-
-  if (std::optional<Rational> IC = I.getConstant()) {
-    // Fully numeric: the paper's three-way formula.
+    // Stay at h = W + K*c + P iff E(c) > 0; c_P = first failing cycle.
+    std::optional<int64_t> CP;
     if (!IC->isPositive())
-      Info.K = TripCountInfo::Kind::Zero;
-    else if (!S || !S->isNegative())
-      // Symbolic or non-negative step with positive margin: the margin may
-      // never shrink to zero.
-      Info.K = S ? TripCountInfo::Kind::Infinite : TripCountInfo::Kind::Unknown;
-    else {
-      int64_t TC = (*IC / -*S).ceil();
-      // The formula reasons over mathematical integers, but execution wraps
-      // in two's-complement int64.  If either compared operand overflows
-      // before the deciding iteration (e.g. `i < INT64_MAX` from
-      // INT64_MAX-5 stepping by 2 jumps past the bound and wraps negative,
-      // staying in the loop), the exact count is a lie about the machine.
-      // Evaluating both sides at h = TC in exact arithmetic bounds every
-      // intermediate value of a linear form (h = 0 is the already-
-      // representable initial value); an overflow throws and the wrapper
-      // reports Unknown instead.
-      (void)A.evaluateAt(TC);
-      (void)B.evaluateAt(TC);
-      Info.K = TripCountInfo::Kind::Finite;
-      Info.Count = Affine(TC);
+      CP = 0; // fails before the first stay, whatever the step
+    else if (!S)
+      return Info; // a symbolic step may never shrink the margin
+    else if (S->isNegative())
+      CP = (*IC / -*S).ceil();
+    if (CP) {
+      Rational H = Rational(int64_t(K)) * Rational(*CP) + Rational(int64_t(P));
+      if (!Best || H < *Best)
+        Best = H;
     }
+    Ops.emplace_back(std::move(*AP), std::move(*BP));
+  }
+  if (!Best) {
+    // No margin ever fails: a closed-form exit never fires; a phase tuple's
+    // is only possibly infinite.
+    if (K == 1)
+      Info.K = TripCountInfo::Kind::Infinite;
     return Info;
   }
-
-  // Symbolic initial margin: only the unit-step case divides exactly
-  // (ceil(i/1) == i); this covers every `for v = lo to hi` loop.
-  if (S && *S == Rational(-1)) {
+  // Wrap guard: the count reasons over Z, but execution wraps in two's-
+  // complement int64.  If an operand overflows before the deciding
+  // iteration (e.g. `i < INT64_MAX` from INT64_MAX-5 stepping by 2 jumps
+  // past the bound and wraps negative, staying in the loop), the exact
+  // count is a lie about the machine.  Evaluating each phase form at cycle
+  // 0 and at the cycle where the exit fires (the next cycle for a phase
+  // tuple) bounds every operand's trajectory (|base| >= 1 for every
+  // geometric term, so magnitudes peak at the endpoints); an overflow
+  // throws and the wrapper reports Unknown instead.
+  const int64_t CEnd =
+      K == 1 ? Best->getInteger() : Best->getInteger() / int64_t(K) + 1;
+  for (const auto &[A, B] : Ops) {
+    (void)A.evaluateAt(0);
+    (void)B.evaluateAt(0);
+    (void)A.evaluateAt(CEnd);
+    (void)B.evaluateAt(CEnd);
+  }
+  if (W > 0) {
+    // The wrapped warmup is unverified: the loop exits no later than
+    // W + Best, possibly earlier.
+    Info.MaxCount = Affine(Rational(int64_t(W)) + *Best);
+  } else if (Best->isZero()) {
+    Info.K = TripCountInfo::Kind::Zero;
+  } else {
     Info.K = TripCountInfo::Kind::Finite;
-    Info.Count = I;
-    Info.Guarded = true;
-    return Info;
+    Info.Count = Affine(*Best);
   }
   return Info;
 }

@@ -15,6 +15,15 @@
 ///                 ceil(i / -s)    if i > 0 and s < 0
 ///                 infinite        if i > 0 and s >= 0
 ///
+/// One rule serves closed forms and the summarizer's phase-periodic tuples:
+/// both operands become forms in the cycle index c at h = W + K*c + p, one
+/// margin per phase p, and the count is the first failing h over the
+/// phases.  Two closed forms are K = 1, W = 0; a tuple of period K that an
+/// operand settles into after W wrap-around iterations gives an upper bound
+/// when W > 0.  Equality compares and symbolic unit-step counts (guarded:
+/// valid only when positive) are closed-form only.  Every count is checked
+/// against int64 wrap-around at the iteration where the exit fires.
+///
 /// The trip count is defined as the number of stay decisions the exit test
 /// makes; the loop-header phis are therefore evaluated tc+1 times and carry
 /// values X(0) .. X(tc), with X(tc) being the value on the final (partial or

@@ -17,6 +17,10 @@ using namespace biv::server;
 
 namespace {
 
+/// Seconds a connection may dawdle delivering its request frame before the
+/// read times out (guards the accept loop against stalled clients).
+constexpr time_t ReadTimeoutSec = 10;
+
 // Request-lifecycle accounting.  Counters are thread-local frame cells like
 // everywhere else; each server thread folds its deltas into the lifetime
 // frame, so the Stats request kind and the daemon's own --stats see one
@@ -262,7 +266,7 @@ void Server::acceptLoop() {
 void Server::handleConnection(int Fd, stats::Frame &Base) {
   NumAccepted.bump();
   timeval TV{};
-  TV.tv_sec = Opts.ReadTimeoutSec;
+  TV.tv_sec = ReadTimeoutSec;
   ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &TV, sizeof(TV));
 
   // Replies sent from this thread fold the stats delta first, mirroring

@@ -88,9 +88,6 @@ struct ServerOptions {
   /// (SocketPath/TcpSpec are the parent's business), and drain() leaves
   /// the socket file alone -- the supervisor owns it.
   std::vector<int> AdoptedFds;
-  /// Seconds a connection may dawdle delivering its request frame before
-  /// the read times out (guards the accept loop against stalled clients).
-  unsigned ReadTimeoutSec = 10;
   /// Test-only: requests whose source contains this token kill the worker
   /// process (`_exit`) between accept and reply, simulating a mid-request
   /// crash for the fleet soak.  Wired from BIV_SERVE_CRASH_TOKEN; never
@@ -144,7 +141,6 @@ public:
   stats::StatsSnapshot statsSnapshot() const;
 
   const std::string &socketPath() const { return SocketPath; }
-  size_t admitted() const { return Admitted.load(); }
   /// The bound TCP port when a TcpSpec was given (resolves port 0 to the
   /// kernel's pick); 0 when there is no TCP frontend.
   int tcpPort() const { return TcpListenPort; }

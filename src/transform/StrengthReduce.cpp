@@ -10,39 +10,6 @@ using namespace biv::transform;
 
 namespace {
 
-/// Materializes an integer affine expression at position \p Pos of \p BB.
-/// Returns null when a coefficient is not an integer.
-ir::Value *materializeAt(ir::Function &F, const Affine &V,
-                         ir::BasicBlock *BB, size_t Pos,
-                         const std::string &Name) {
-  if (!V.constantPart().isInteger())
-    return nullptr;
-  for (const auto &[Sym, Coeff] : V.terms())
-    if (!Coeff.isInteger())
-      return nullptr;
-  auto emit = [&](ir::Instruction *I) { return BB->insertAt(Pos++, I); };
-  ir::Value *Acc = nullptr;
-  // Emission order must be stable across runs and worker threads (terms()
-  // iterates in pointer order); see ir/AffineOrder.h.
-  for (const auto &[Sym, Coeff] : ir::orderedTerms(V)) {
-    auto *SymV = const_cast<ir::Value *>(Sym);
-    ir::Value *Term = SymV;
-    if (!Coeff.isOne())
-      Term = emit(
-          F.newInstr(ir::Opcode::Mul, {F.constant(Coeff.getInteger()), SymV}));
-    Acc = Acc ? emit(F.newInstr(ir::Opcode::Add, {Acc, Term})) : Term;
-  }
-  int64_t C0 = V.constantPart().getInteger();
-  if (!Acc)
-    return F.constant(C0);
-  if (C0 != 0)
-    Acc = emit(F.newInstr(ir::Opcode::Add, {Acc, F.constant(C0)}));
-  if (auto *AI = ir::dyn_cast<ir::Instruction>(Acc))
-    if (AI->name().empty())
-      AI->setName(F.uniqueName(Name));
-  return Acc;
-}
-
 /// Every affine symbol must be defined outside \p L (it is, by
 /// construction of the classification) *and* dominate the preheader end;
 /// with our single-preheader loops that is automatic, but guard anyway by
@@ -110,13 +77,14 @@ biv::transform::strengthReduce(ivclass::InductionAnalysis &IA) {
     for (auto &[Mul, Form] : Work) {
       // Materialize init and step at the end of the preheader.
       size_t PrePos = Preheader->size() - (Preheader->terminator() ? 1 : 0);
-      ir::Value *Init = materializeAt(F, Form.coeff(0), Preheader, PrePos,
-                                      std::string(Mul->name()) + ".sr.init");
+      ir::Value *Init =
+          ir::materializeAffine(F, Form.coeff(0), Preheader, PrePos,
+                                std::string(Mul->name()) + ".sr.init");
       if (!Init)
         continue;
-      PrePos = Preheader->size() - (Preheader->terminator() ? 1 : 0);
-      ir::Value *Step = materializeAt(F, Form.coeff(1), Preheader, PrePos,
-                                      std::string(Mul->name()) + ".sr.step");
+      ir::Value *Step =
+          ir::materializeAffine(F, Form.coeff(1), Preheader, PrePos,
+                                std::string(Mul->name()) + ".sr.step");
       if (!Step)
         continue;
 

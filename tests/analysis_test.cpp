@@ -280,21 +280,6 @@ TEST(DominanceFrontierTest, LoopHeaderInLatchFrontier) {
   EXPECT_NE(std::find(HF.begin(), HF.end(), Header), HF.end());
 }
 
-TEST(PostDominatorTest, LinearAndDiamond) {
-  auto F = build("func f(n) {"
-                 "  if (n > 0) { x = 1; } else { x = 2; }"
-                 "  return x;"
-                 "}");
-  PostDominatorTree PDT(*F);
-  ir::BasicBlock *Entry = F->entry();
-  ir::BasicBlock *Then = byName(*F, "if.then");
-  ir::BasicBlock *Join = byName(*F, "if.join");
-  EXPECT_TRUE(PDT.postDominates(Join, Entry));
-  EXPECT_TRUE(PDT.postDominates(Join, Then));
-  EXPECT_FALSE(PDT.postDominates(Then, Entry));
-  EXPECT_TRUE(PDT.postDominates(Join, Join));
-}
-
 TEST(LoopInfoTest, WhileLoopShape) {
   auto F = build("func f(n) { x = 0; while W: (x < n) { x = x + 1; }"
                  " return x; }");

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <gtest/gtest.h>
 #include <sstream>
 #include <stdexcept>
@@ -49,6 +50,25 @@ TEST(ThreadPoolTest, RunsEveryTask) {
     Pool.submit([&Sum, I] { Sum.fetch_add(I, std::memory_order_relaxed); });
   Pool.wait();
   EXPECT_EQ(Sum.load(), 1000L * 1001 / 2);
+}
+
+TEST(ThreadPoolTest, QueuedTasksRunInSubmissionOrder) {
+  // One worker held busy while six tasks queue behind it: it must run them
+  // oldest first, as a daemon answers a burst of requests.
+  driver::ThreadPool Pool(1);
+  std::promise<void> Started, Release;
+  std::shared_future<void> Gate = Release.get_future().share();
+  Pool.submit([&Started, Gate] {
+    Started.set_value();
+    Gate.wait();
+  });
+  Started.get_future().wait();
+  std::vector<int> Order;
+  for (int I = 1; I <= 6; ++I)
+    Pool.submit([&Order, I] { Order.push_back(I); });
+  Release.set_value();
+  Pool.wait();
+  EXPECT_EQ(Order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(ThreadPoolTest, WaitPropagatesFirstException) {

@@ -9,7 +9,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "cache/AnalysisCache.h"
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -45,6 +47,38 @@ void patchU64(const std::string &Path, uint64_t Offset, uint64_t V) {
   F.seekp(static_cast<std::streamoff>(Offset));
   F.write(reinterpret_cast<const char *>(&V), sizeof V);
   ASSERT_TRUE(F.good());
+}
+
+/// A reader maps a 200-entry cache; the file's tail is then damaged, and a
+/// third instance writes a new file with one entry in its place.  Exits 0
+/// when the reader still serves the entry at the end of its mapping.
+[[noreturn]] void lookUpPastARewrite(const std::string &Path) {
+  std::string Err;
+  uint64_t Last = 0;
+  {
+    AnalysisCache Writer;
+    if (!Writer.open(Path, Err))
+      std::exit(2);
+    for (int I = 0; I < 200; ++I) {
+      uint64_t D = unitDigest("func " + std::to_string(I), 0);
+      Writer.insert(D, sampleEntry(std::string(500, char('a' + I % 26))));
+      Last = std::max(Last, D); // records lie in digest order
+    }
+    if (!Writer.save(Err))
+      std::exit(2);
+  }
+  AnalysisCache Reader;
+  if (!Reader.open(Path, Err))
+    std::exit(3);
+  patchU64(Path, std::filesystem::file_size(Path) - 8, 0);
+  AnalysisCache Rewriter;
+  if (!Rewriter.open(Path, Err) || !Rewriter.invalidated())
+    std::exit(4);
+  Rewriter.insert(unitDigest("fresh", 0), sampleEntry("fresh"));
+  if (!Rewriter.save(Err))
+    std::exit(5);
+  const CacheEntry *E = Reader.lookup(Last);
+  std::exit(E && E->ReportText.size() == 500 ? 0 : 6);
 }
 
 } // namespace
@@ -290,6 +324,15 @@ TEST(AnalysisCacheTest, DamagedFilesInvalidateNotCrash) {
     ASSERT_NE(C.lookup(D), nullptr);
     EXPECT_EQ(C.lookup(D)->ReportText, "rebuilt");
   }
+}
+
+TEST(AnalysisCacheTest, RewriteLeavesALiveReadersMappingWhole) {
+  // A save that finds nothing valid on disk writes a new image.  Written in
+  // place and truncated, the old inode would shrink under a reader that
+  // still maps it, and its next lookup past the new end would die with
+  // SIGBUS; run in a child process so that fails this test, not the suite.
+  TempPath P("cache_rewrite_reader.bin");
+  EXPECT_EXIT(lookUpPastARewrite(P.Path), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(AnalysisCacheTest, UnwritablePathFailsLoudly) {

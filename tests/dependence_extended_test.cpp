@@ -284,6 +284,50 @@ TEST(ExtendedDepTest, WrapAroundCollapsedNeedsNoFlag) {
   }
 }
 
+TEST(ExtendedDepTest, WrapAroundOfOrderTwoLagsTwoIterations) {
+  // j = k; k = i: past its two-iteration prefix j(h) == i(h-2), so the
+  // read of A[i] meets the write of A[j] two iterations later.
+  DepRun R = analyzeDeps("func f(n) {"
+                         "  k = 100; j = 50;"
+                         "  for L: i = 1 to 20 {"
+                         "    A[j] = A[i] + 1;"
+                         "    j = k;"
+                         "    k = i;"
+                         "  }"
+                         "}");
+  const Dependence *Anti = findDep(R, "A", DepKind::Anti);
+  ASSERT_NE(Anti, nullptr);
+  ASSERT_EQ(Anti->Result.Directions.size(), 1u);
+  EXPECT_EQ(Anti->Result.Directions[0].Dirs, DirLT);
+  EXPECT_EQ(Anti->Result.Directions[0].Distance, std::optional<int64_t>(2));
+  EXPECT_EQ(Anti->Result.ValidAfterIterations, 2u);
+}
+
+TEST(ExtendedDepTest, OuterWrapAroundIsInvariantInInnerLoop) {
+  // j wraps in L1 and is invariant in L2: all five L2 iterations write the
+  // same element, so L2 carries the output dependence; and A[i] is read one
+  // L1 iteration before j takes the value i, never after.
+  DepRun R = analyzeDeps("func f(n) {"
+                         "  j = 50;"
+                         "  for L1: i = 1 to 10 {"
+                         "    for L2: k = 1 to 5 { A[j] = A[i] + 1; }"
+                         "    j = i;"
+                         "  }"
+                         "}");
+  const Dependence *Out = findDep(R, "A", DepKind::Output);
+  ASSERT_NE(Out, nullptr);
+  ASSERT_EQ(Out->Result.Directions.size(), 2u);
+  EXPECT_EQ(Out->Result.Directions[0].Dirs, DirEQ);
+  EXPECT_EQ(Out->Result.Directions[0].Distance, std::optional<int64_t>(0));
+  EXPECT_EQ(Out->Result.Directions[1].Dirs, DirLT);
+  const Dependence *Anti = findDep(R, "A", DepKind::Anti);
+  ASSERT_NE(Anti, nullptr);
+  ASSERT_EQ(Anti->Result.Directions.size(), 2u);
+  EXPECT_EQ(Anti->Result.Directions[0].Dirs, DirLT);
+  EXPECT_EQ(Anti->Result.Directions[0].Distance, std::optional<int64_t>(1));
+  EXPECT_EQ(findDep(R, "A", DepKind::Flow), nullptr);
+}
+
 //===----------------------------------------------------------------------===//
 // Precision comparison: extended classes vs. linear-only analysis
 //===----------------------------------------------------------------------===//

@@ -170,6 +170,18 @@ cmake --build "$BUILD" --target ivclass_test dependence_extended_test \
 echo "fuzz: region evaluator and Figure 10 strictness suites clean under" \
      "ASan/UBSan"
 
+# The rules stated once: the trip count over per-phase forms
+# (tripcount_edge_test), the subscript linearizer that settles wrap-arounds
+# (dependence_test), and the affine materializer that strength reduction
+# and exit values share (transform_test).
+cmake --build "$BUILD" --target tripcount_edge_test dependence_test \
+  transform_test -j "$(nproc)" >/dev/null
+for T in tripcount_edge_test dependence_test transform_test; do
+  "$BUILD/tests/$T" >/dev/null
+done
+echo "fuzz: trip count, subscript and materializer suites clean under" \
+     "ASan/UBSan"
+
 # A slice of the budget runs with the cache oracle forced on for every
 # program; the main campaign keeps the default sampled (~1/8) oracle.
 "$BIVC" --fuzz "$((COUNT / 10 + 1))" --seed "$((SEED + 1))" --cache-oracle

@@ -7,8 +7,10 @@
 # corpus, and runs one pooled fuzz campaign under the race detector:
 #
 #  1. server_test under TSan: byte-identity, warm shared cache, bounded
-#     admission, deadlines, crash isolation, SIGTERM drain -- the ISSUE's
-#     acceptance matrix with the race detector watching.
+#     admission, deadlines, crash isolation, SIGTERM drain -- the daemon's
+#     acceptance matrix with the race detector watching.  cache_test (the
+#     mapper, the flock'd append and the temp-and-rename image writer) and
+#     batch_test (the thread pool and its queue order) run beside it.
 #  2. CLI byte-identity: every corpus report served over the socket must
 #     equal the one-shot `bivc FILE` bytes, cold and warm.
 #  3. Concurrent warm blast: parallel clients hammer the shared cache, then
@@ -47,7 +49,8 @@ BUILD="$ROOT/build-serve-tsan"
 cmake -S "$ROOT" -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBIV_SANITIZE=thread >/dev/null
-cmake --build "$BUILD" --target bivc server_test -j "$(nproc)" >/dev/null
+cmake --build "$BUILD" --target bivc server_test cache_test batch_test \
+  -j "$(nproc)" >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -69,9 +72,11 @@ wait_for_socket() {
   return 1
 }
 
-# 1. Lifecycle matrix under the race detector.
-"$BUILD/tests/server_test"
-echo "serve_soak: server_test clean under TSan"
+# 1. Lifecycle matrix, cache and pool suites under the race detector.
+for T in server_test cache_test batch_test; do
+  "$BUILD/tests/$T"
+done
+echo "serve_soak: server_test, cache_test and batch_test clean under TSan"
 
 # 2 + 3. Byte-identity and the concurrent warm blast against one daemon.
 SOCK="$DIR/soak.sock"
