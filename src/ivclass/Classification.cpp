@@ -172,66 +172,119 @@ std::optional<Affine> Classification::valueAt(int64_t H) const {
   return std::nullopt;
 }
 
-std::string Classification::str(const SymbolNamer &Namer) const {
-  const std::string LoopName = L ? L->name() : "?";
+void Classification::append(std::string &Out,
+                            const SymbolNamer &Namer) const {
+  auto loop = [&] {
+    if (L)
+      Out += L->name();
+    else
+      Out += '?';
+  };
+  auto number = [&](uint64_t N) { Out += std::to_string(N); };
   // Values projected out of an unsolvable region carry a marker: the form
   // is exact, but it is the solvable sub-recurrence of its region.
-  const std::string Partiality = Partial ? "partial " : "";
+  if (Partial && hasClosedForm())
+    Out += "partial ";
   switch (Kind) {
   case IVKind::Unknown:
-    return "unknown";
+    Out += "unknown";
+    return;
   case IVKind::Invariant:
-    return Partiality + "invariant " + Form.initialValue().str(Namer);
+    Out += "invariant ";
+    Form.initialValue().append(Out, Namer);
+    return;
   case IVKind::Linear:
-    return Partiality + "(" + LoopName + ", " + Form.coeff(0).str(Namer) +
-           ", " + Form.coeff(1).str(Namer) + ")";
-  case IVKind::Polynomial: {
-    std::string Out = Partiality + "(" + LoopName;
-    for (unsigned K = 0; K <= Form.degree(); ++K)
-      Out += ", " + Form.coeff(K).str(Namer);
-    return Out + ")";
-  }
+    Out += '(';
+    loop();
+    Out += ", ";
+    Form.coeff(0).append(Out, Namer);
+    Out += ", ";
+    Form.coeff(1).append(Out, Namer);
+    Out += ')';
+    return;
+  case IVKind::Polynomial:
+    Out += '(';
+    loop();
+    for (unsigned K = 0; K <= Form.degree(); ++K) {
+      Out += ", ";
+      Form.coeff(K).append(Out, Namer);
+    }
+    Out += ')';
+    return;
   case IVKind::Geometric:
   case IVKind::CFinite:
-    return Partiality + "(" + LoopName + ", " + Form.str(Namer) + ")";
+    Out += '(';
+    loop();
+    Out += ", ";
+    Form.append(Out, Namer);
+    Out += ')';
+    return;
   case IVKind::WrapAround:
-    return "wrap-around(" + LoopName + ", order " +
-           std::to_string(WrapOrder) + ", " +
-           (Inner ? Inner->str(Namer) : std::string("?")) + ")";
-  case IVKind::Periodic: {
-    std::string Out = "periodic(" + LoopName + ", period " +
-                      std::to_string(Period) + ", phase " +
-                      std::to_string(Phase) + ", inits [";
+    Out += "wrap-around(";
+    loop();
+    Out += ", order ";
+    number(WrapOrder);
+    Out += ", ";
+    if (Inner)
+      Inner->append(Out, Namer);
+    else
+      Out += '?';
+    Out += ')';
+    return;
+  case IVKind::Periodic:
+    Out += "periodic(";
+    loop();
+    Out += ", period ";
+    number(Period);
+    Out += ", phase ";
+    number(Phase);
+    Out += ", inits [";
     for (size_t I = 0; I < RingInits.size(); ++I) {
       if (I)
         Out += ", ";
-      Out += RingInits[I].str(Namer);
+      RingInits[I].append(Out, Namer);
     }
-    Out += "]";
+    Out += ']';
     // The value is PScale * member + POffset; the identity image is implied.
-    if (!PScale.isOne() || !POffset.isZero())
-      Out += ", scale " + PScale.str() + ", offset " + POffset.str(Namer);
-    return Out + ")";
-  }
+    if (!PScale.isOne() || !POffset.isZero()) {
+      Out += ", scale ";
+      PScale.append(Out);
+      Out += ", offset ";
+      POffset.append(Out, Namer);
+    }
+    Out += ')';
+    return;
   case IVKind::Monotonic:
-    return std::string("monotonic ") +
-           (Strict ? "strictly " : "") +
-           (Dir == MonotoneDir::Increasing ? "increasing" : "decreasing") +
-           " (" + LoopName + ")";
-  case IVKind::PhasePeriodic: {
+    Out += "monotonic ";
+    if (Strict)
+      Out += "strictly ";
+    Out += Dir == MonotoneDir::Increasing ? "increasing" : "decreasing";
+    Out += " (";
+    loop();
+    Out += ')';
+    return;
+  case IVKind::PhasePeriodic:
     // Phase forms are functions of the cycle index: the value on iteration
     // h = period*c + p is the p-th form at c (the rendered variable h is
     // that cycle index).  Form 0 is also the composed whole-cycle form.
-    std::string Out = "phase-periodic(" + LoopName + ", period " +
-                      std::to_string(Period) + ", [";
+    Out += "phase-periodic(";
+    loop();
+    Out += ", period ";
+    number(Period);
+    Out += ", [";
     for (size_t I = 0; I < PhaseForms.size(); ++I) {
       if (I)
         Out += " ; ";
-      Out += PhaseForms[I].str(Namer);
+      PhaseForms[I].append(Out, Namer);
     }
-    return Out + "])";
-  }
+    Out += "])";
+    return;
   }
   assert(false && "unknown IVKind");
-  return "";
+}
+
+std::string Classification::str(const SymbolNamer &Namer) const {
+  std::string Out;
+  append(Out, Namer);
+  return Out;
 }

@@ -187,9 +187,12 @@ public:
   /// Throws RationalOverflow like ClosedForm::evaluateAt.
   std::optional<Affine> valueAt(int64_t H) const;
 
-  /// Renders the paper's tuple syntax, e.g. "(L18, k2+2, 2)" for linear,
+  /// Appends the paper's tuple syntax, e.g. "(L18, k2+2, 2)" for linear,
   /// "(L14, 2, 3/2, 1/2)" for polynomial, "wrap-around(order 1, linear ...)"
   /// etc.  \p Namer resolves affine symbols (usually to IR value names).
+  void append(std::string &Out,
+              const SymbolNamer &Namer = SymbolNamer()) const;
+  /// The rendering of append as a string of its own.
   std::string str(const SymbolNamer &Namer = SymbolNamer()) const;
 };
 

@@ -363,56 +363,77 @@ bool ClosedForm::provablyNonNegative() const {
   return true;
 }
 
-std::string ClosedForm::str(const SymbolNamer &Namer) const {
-  if (isZero())
-    return "0";
-  std::string Out;
-  auto addTerm = [&](const Affine &Coeff, const std::string &Basis) {
-    std::string CS = Coeff.str(Namer);
-    bool Leading = Out.empty();
-    bool Negated = false;
-    if (Coeff.isConstant() && Coeff.constantPart().isNegative()) {
-      CS = (-Coeff).str(Namer);
-      Negated = true;
-    }
+void ClosedForm::append(std::string &Out, const SymbolNamer &Namer) const {
+  if (isZero()) {
+    Out += '0';
+    return;
+  }
+  bool Leading = true;
+  // Appends a term's sign and coefficient.  Before a basis (h^k, b^h) a
+  // coefficient of 1 is dropped and a multi-term one parenthesized; the
+  // caller appends the basis.
+  auto coefficient = [&](const Affine &Coeff, bool HasBasis) {
+    bool Negated = Coeff.isConstant() && Coeff.constantPart().isNegative();
     if (!Leading)
       Out += Negated ? " - " : " + ";
     else if (Negated)
-      Out += "-";
-    if (Basis.empty()) {
-      Out += CS;
+      Out += '-';
+    Leading = false;
+    const size_t At = Out.size();
+    if (Negated)
+      (-Coeff.constantPart()).append(Out);
+    else
+      Coeff.append(Out, Namer);
+    if (!HasBasis)
+      return;
+    if (Out.compare(At, std::string::npos, "1") == 0) {
+      Out.resize(At);
       return;
     }
-    if (CS == "1") {
-      Out += Basis;
-      return;
+    if (Out.find(' ', At) != std::string::npos) {
+      Out.insert(At, 1, '(');
+      Out += ')';
     }
-    // Parenthesize multi-term coefficients.
-    if (CS.find(' ') != std::string::npos)
-      CS = "(" + CS + ")";
-    Out += CS + "*" + Basis;
+    Out += '*';
   };
-  auto hPow = [](size_t K) -> std::string {
-    return K == 0 ? "" : (K == 1 ? "h" : "h^" + std::to_string(K));
+  auto hPow = [&](size_t K) {
+    if (K == 0)
+      return;
+    Out += 'h';
+    if (K > 1) {
+      Out += '^';
+      Out += std::to_string(K);
+    }
   };
   for (size_t K = 0; K < Poly.size(); ++K) {
     if (Poly[K].isZero())
       continue;
-    addTerm(Poly[K], hPow(K));
+    coefficient(Poly[K], K > 0);
+    hPow(K);
   }
   // Bases ascend (int64-keyed map), coefficient powers ascend within one
   // base: the order is a function of the form's value, never of pointers.
   for (const auto &[Base, Coeff] : Geo) {
-    std::string BaseStr = Base < 0 ? "(" + std::to_string(Base) + ")"
-                                   : std::to_string(Base);
     for (size_t J = 0; J < Coeff.size(); ++J) {
       if (Coeff[J].isZero())
         continue;
-      std::string Basis = hPow(J);
-      if (!Basis.empty())
-        Basis += "*";
-      addTerm(Coeff[J], Basis + BaseStr + "^h");
+      coefficient(Coeff[J], true);
+      if (J) {
+        hPow(J);
+        Out += '*';
+      }
+      if (Base < 0)
+        Out += '(';
+      Out += std::to_string(Base);
+      if (Base < 0)
+        Out += ')';
+      Out += "^h";
     }
   }
+}
+
+std::string ClosedForm::str(const SymbolNamer &Namer) const {
+  std::string Out;
+  append(Out, Namer);
   return Out;
 }

@@ -160,10 +160,13 @@ public:
   }
   bool operator!=(const ClosedForm &RHS) const { return !(*this == RHS); }
 
-  /// Renders e.g. "3 + 1/2*h + 1/2*h^2", "-2 - h + 3*2^h", or (c-finite)
+  /// Appends e.g. "3 + 1/2*h + 1/2*h^2", "-2 - h + 3*2^h", or (c-finite)
   /// "1 + 2*h*2^h".  Term order is fixed -- polynomial powers ascending,
   /// then bases ascending with coefficient powers ascending -- so the
   /// rendering never depends on pointer or insertion order.
+  void append(std::string &Out,
+              const SymbolNamer &Namer = SymbolNamer()) const;
+  /// The rendering of append as a string of its own.
   std::string str(const SymbolNamer &Namer = SymbolNamer()) const;
 
 private:

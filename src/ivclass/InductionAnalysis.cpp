@@ -1056,29 +1056,37 @@ InductionAnalysis::classifyExternal(const ir::Value *V,
   return Classification::unknown();
 }
 
-SymbolNamer InductionAnalysis::namer() const {
-  return [](SymbolRef S) -> std::string {
-    const auto *V = static_cast<const ir::Value *>(S);
-    return V->name().empty() ? std::string("<tmp>")
-                             : std::string(V->name());
-  };
+namespace {
+/// A symbol's report name: its IR value's name, or <tmp> when unnamed.
+void appendValueName(std::string &Out, SymbolRef S) {
+  std::string_view Name = static_cast<const ir::Value *>(S)->name();
+  Out += Name.empty() ? std::string_view("<tmp>") : Name;
+}
+} // namespace
+
+SymbolNamer InductionAnalysis::namer() const { return appendValueName; }
+
+void InductionAnalysis::appendNested(std::string &Out,
+                                     const Classification &C,
+                                     unsigned Depth) {
+  C.append(Out, [this, Depth](std::string &Out, SymbolRef S) {
+    if (Depth > 0)
+      if (const auto *I =
+              ir::dyn_cast<ir::Instruction>(static_cast<const ir::Value *>(S)))
+        if (const analysis::Loop *VL = LI.loopFor(I->parent())) {
+          const Classification &IC = classify(I, VL);
+          if (IC.hasClosedForm() && !IC.isInvariant())
+            return appendNested(Out, IC, Depth - 1);
+        }
+    appendValueName(Out, S);
+  });
 }
 
 std::string InductionAnalysis::strNested(const Classification &C,
                                          unsigned Depth) {
-  SymbolNamer N = [this, Depth](SymbolRef S) -> std::string {
-    const auto *V = static_cast<const ir::Value *>(S);
-    if (Depth > 0)
-      if (const auto *I = ir::dyn_cast<ir::Instruction>(V))
-        if (const analysis::Loop *VL = LI.loopFor(I->parent())) {
-          const Classification &IC = classify(I, VL);
-          if (IC.hasClosedForm() && !IC.isInvariant())
-            return strNested(IC, Depth - 1);
-        }
-    return V->name().empty() ? std::string("<tmp>")
-                             : std::string(V->name());
-  };
-  return C.str(N);
+  std::string Out;
+  appendNested(Out, C, Depth);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -180,9 +180,12 @@ public:
   /// Names affine symbols by their IR value name.
   SymbolNamer namer() const;
 
-  /// Renders \p C with the paper's nested-tuple expansion: symbols that are
+  /// Appends \p C with the paper's nested-tuple expansion: symbols that are
   /// themselves induction variables of enclosing loops print as tuples,
   /// e.g. "(L18, (L17, 0, 204), 2)".
+  void appendNested(std::string &Out, const Classification &C,
+                    unsigned Depth = 4);
+  /// The rendering of appendNested as a string of its own.
   std::string strNested(const Classification &C, unsigned Depth = 4);
 
   /// Classification of a value used by (but not belonging to) the SSA graph

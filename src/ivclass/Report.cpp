@@ -3,6 +3,7 @@
 #include "ivclass/Report.h"
 #include "ir/Printer.h"
 #include "support/Stats.h"
+#include <optional>
 
 using namespace biv;
 using namespace biv::ivclass;
@@ -39,25 +40,45 @@ const stats::Counter Punt("ivclass.punt");
 std::string biv::ivclass::report(InductionAnalysis &IA,
                                  const ssa::SSAInfo *Info,
                                  const ReportOptions &Opts) {
+  static const stats::Timer ReportPhase("phase.report");
+  stats::ScopedSpan Span(ReportPhase);
   const analysis::LoopInfo &LI = IA.loopInfo();
-  ir::Printer P(IA.function());
+  const SymbolNamer Namer = IA.namer();
   std::string Out;
+  // Labels come from the source variables where there are any, so most
+  // reports never need the printer's temp numbering: it is built on first
+  // use.
+  std::optional<ir::Printer> P;
+  auto irName = [&](const ir::Instruction *I) {
+    if (!P)
+      P.emplace(IA.function());
+    P->appendName(Out, I);
+  };
   for (const auto &L : LI.loops()) {
-    Out += "loop " + L->name() + " (depth " +
-           std::to_string(L->depth()) + "): trip count " +
-           IA.tripCount(L.get()).str(IA.namer()) + "\n";
-    auto line = [&](const ir::Instruction *I, const std::string &Label) {
+    Out += "loop ";
+    Out += L->name();
+    Out += " (depth ";
+    Out += std::to_string(L->depth());
+    Out += "): trip count ";
+    IA.tripCount(L.get()).append(Out, Namer);
+    Out += '\n';
+    // The rest of a line, after its label.
+    auto tuple = [&](const ir::Instruction *I) {
       const Classification &C = IA.classify(I, L.get());
-      std::string Tuple =
-          Opts.NestedTuples ? IA.strNested(C) : C.str(IA.namer());
-      Out += "  " + Label + ": " + Tuple + "\n";
+      Out += ": ";
+      if (Opts.NestedTuples)
+        IA.appendNested(Out, C);
+      else
+        C.append(Out, Namer);
+      Out += '\n';
     };
     for (ir::Instruction *Phi : L->header()->phis()) {
-      std::string Label = P.nameOf(Phi);
-      if (Info)
-        if (const ir::Var *V = Phi->variable())
-          Label = std::string(V->name());
-      line(Phi, Label);
+      Out += "  ";
+      if (const ir::Var *V = Info ? Phi->variable() : nullptr)
+        Out += V->name();
+      else
+        irName(Phi);
+      tuple(Phi);
     }
     if (Opts.AllValues)
       for (ir::BasicBlock *BB : L->blocks()) {
@@ -68,7 +89,9 @@ std::string biv::ivclass::report(InductionAnalysis &IA,
             continue;
           if (I->isTerminator() || I->hasSideEffects())
             continue;
-          line(I, P.nameOf(I));
+          Out += "  ";
+          irName(I);
+          tuple(I);
         }
       }
   }

@@ -6,20 +6,35 @@
 using namespace biv;
 using namespace biv::ivclass;
 
-std::string TripCountInfo::str(const SymbolNamer &Namer) const {
+void TripCountInfo::append(std::string &Out, const SymbolNamer &Namer) const {
   switch (K) {
   case Kind::Unknown:
-    if (MaxCount)
-      return "unknown (max " + MaxCount->str(Namer) + ")";
-    return "unknown";
+    Out += "unknown";
+    if (MaxCount) {
+      Out += " (max ";
+      MaxCount->append(Out, Namer);
+      Out += ')';
+    }
+    return;
   case Kind::Zero:
-    return "0";
+    Out += '0';
+    return;
   case Kind::Finite:
-    return Count.str(Namer) + (Guarded ? " (if positive, else 0)" : "");
+    Count.append(Out, Namer);
+    if (Guarded)
+      Out += " (if positive, else 0)";
+    return;
   case Kind::Infinite:
-    return "infinite";
+    Out += "infinite";
+    return;
   }
-  return "<bad>";
+  Out += "<bad>";
+}
+
+std::string TripCountInfo::str(const SymbolNamer &Namer) const {
+  std::string Out;
+  append(Out, Namer);
+  return Out;
 }
 
 namespace {

@@ -79,6 +79,10 @@ struct TripCountInfo {
     return K == Kind::Zero ? Affine(0) : Count;
   }
 
+  /// Appends the count, e.g. "n (if positive, else 0)" or "unknown (max 9)".
+  void append(std::string &Out,
+              const SymbolNamer &Namer = SymbolNamer()) const;
+  /// The rendering of append as a string of its own.
   std::string str(const SymbolNamer &Namer = SymbolNamer()) const;
 };
 

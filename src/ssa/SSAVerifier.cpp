@@ -17,8 +17,8 @@ std::vector<std::string> biv::ssa::verifySSA(const ir::Function &F) {
     return Problems;
 
   analysis::DominatorTree DT(F);
-  // The printer walks the whole function and allocates a name per value, so
-  // only build it if something is actually wrong.
+  // The printer walks the whole function to number its temps, so only
+  // build it if something is actually wrong.
   std::optional<ir::Printer> LazyP;
   auto P = [&]() -> ir::Printer & {
     if (!LazyP)

@@ -31,8 +31,8 @@ namespace biv {
 /// Opaque identity of a symbolic term (the IV analysis passes IR values).
 using SymbolRef = const void *;
 
-/// Resolves a symbol to a printable name.
-using SymbolNamer = std::function<std::string(SymbolRef)>;
+/// Appends a symbol's printable name to a rendering buffer.
+using SymbolNamer = std::function<void(std::string &Out, SymbolRef)>;
 
 /// An affine expression: Constant + sum of Coeff * Symbol terms.
 ///
@@ -87,8 +87,11 @@ public:
   }
   bool operator!=(const Affine &RHS) const { return !(*this == RHS); }
 
-  /// Renders the expression, e.g. "3/2 + 2*n".  Symbols are named by
-  /// \p Namer, or printed as "sym" when none is given.
+  /// Appends the rendering, e.g. "3/2 + 2*n", to \p Out.  Symbols are
+  /// named by \p Namer, or printed as "sym" when none is given.
+  void append(std::string &Out,
+              const SymbolNamer &Namer = SymbolNamer()) const;
+  /// The rendering of append as a string of its own.
   std::string str(const SymbolNamer &Namer = SymbolNamer()) const;
 
 private:

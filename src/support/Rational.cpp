@@ -2,6 +2,7 @@
 
 #include "support/Rational.h"
 #include <algorithm>
+#include <charconv>
 #include <numeric>
 
 using namespace biv;
@@ -261,8 +262,17 @@ Rational Rational::pow(int64_t Exp) const {
   return Result;
 }
 
+void Rational::append(std::string &Out) const {
+  char Buf[24]; // an int64 spelling
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Num).ptr);
+  if (!isInteger()) {
+    Out += '/';
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Den).ptr);
+  }
+}
+
 std::string Rational::str() const {
-  if (isInteger())
-    return std::to_string(Num);
-  return std::to_string(Num) + "/" + std::to_string(Den);
+  std::string Out;
+  append(Out);
+  return Out;
 }

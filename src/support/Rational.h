@@ -98,7 +98,9 @@ public:
   /// Raises this to the integer power \p Exp (Exp >= 0, or this nonzero).
   Rational pow(int64_t Exp) const;
 
-  /// Renders "n" for integers and "n/d" otherwise.
+  /// Appends "n" for integers and "n/d" otherwise.
+  void append(std::string &Out) const;
+  /// The rendering of append as a string of its own.
   std::string str() const;
 
 private:

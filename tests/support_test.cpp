@@ -363,14 +363,21 @@ TEST(AffineTest, Equality) {
 }
 
 TEST(AffineTest, Printing) {
-  auto Namer = [](SymbolRef S) {
-    return S == &SymA ? std::string("n") : std::string("m");
+  auto Namer = [](std::string &Out, SymbolRef S) {
+    Out += S == &SymA ? "n" : "m";
   };
   Affine E = Affine::symbol(&SymA) * Rational(2) + Affine(Rational(1, 2));
   EXPECT_EQ(E.str(Namer), "1/2 + 2*n");
   Affine Neg = -Affine::symbol(&SymA) + Affine(3);
   EXPECT_EQ(Neg.str(Namer), "3 - n");
   EXPECT_EQ(Affine().str(), "0");
+  // Terms print in name order, whatever the symbols' addresses, and append
+  // after what the buffer already holds.
+  Affine Two = Affine::symbol(&SymA) - Affine::symbol(&SymB) * Rational(3);
+  EXPECT_EQ(Two.str(Namer), "-3*m + n");
+  std::string Out = "x = ";
+  (Two + Affine(1)).append(Out, Namer);
+  EXPECT_EQ(Out, "x = 1 - 3*m + n");
 }
 
 //===----------------------------------------------------------------------===//

@@ -182,6 +182,18 @@ done
 echo "fuzz: trip count, subscript and materializer suites clean under" \
      "ASan/UBSan"
 
+# The text layer: the printer renders into one caller-owned buffer from a
+# seq-indexed temp table, and its print of a lowered function is the cache
+# key.  The printer suite (ir_test), the cache (cache_test) and the batch
+# driver that digests, probes, renders reports and replays hits
+# (batch_test) run in the instrumented tree.
+cmake --build "$BUILD" --target ir_test cache_test batch_test -j "$(nproc)" \
+  >/dev/null
+for T in ir_test cache_test batch_test; do
+  "$BUILD/tests/$T" >/dev/null
+done
+echo "fuzz: printer, cache and batch suites clean under ASan/UBSan"
+
 # A slice of the budget runs with the cache oracle forced on for every
 # program; the main campaign keeps the default sampled (~1/8) oracle.
 "$BIVC" --fuzz "$((COUNT / 10 + 1))" --seed "$((SEED + 1))" --cache-oracle
