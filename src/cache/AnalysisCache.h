@@ -116,11 +116,14 @@ namespace cache {
 /// cross-checks this constant against the value DESIGN.md documents.
 inline constexpr uint64_t AnalysisVersionSalt = 5;
 
-/// On-disk format revision (layout, not analysis semantics).  v2 added the
-/// generation counter to the tail footer (fleet-shared caches); v3 dropped
-/// the per-kind and InductionAnalysis::Stats tallies from the entry payload,
-/// which the counter deltas already carry.
-inline constexpr uint64_t CacheFormatVersion = 3;
+/// On-disk format revision (layout and keying, not analysis semantics).  v2
+/// added the generation counter to the tail footer (fleet-shared caches); v3
+/// dropped the per-kind and InductionAnalysis::Stats tallies from the entry
+/// payload, which the counter deltas already carry; v4 keys entries by an
+/// injective IR print (a value named like a temp, and an argument named
+/// undef, are quoted), so no entry keyed by the old, ambiguous print is
+/// served.
+inline constexpr uint64_t CacheFormatVersion = 4;
 
 /// 64-bit FNV-1a over \p Data, continuing from \p Seed (the offset basis by
 /// default).  Never returns 0 -- 0 marks an empty index slot.
